@@ -62,7 +62,8 @@ int main() {
     Opt.QCfg.EpsilonDecaySteps = static_cast<int>(Steps * 0.6);
     Opt.QCfg.LearningRateEnd = 1e-4;
     Opt.QCfg.TrainInterval = 2;
-    Runtime RT(Mode::TR);
+    Engine Eng;
+    Session RT(Eng, Mode::TR);
     trainRl(Env, RT, Opt);
     RlEvalResult R = evalRl(Env, RT, Opt, 10);
     Out.addRow({S.Label, fmt(static_cast<long long>(Opt.FeatureNames.size())),

@@ -36,7 +36,8 @@ RlTrainResult trainSetting(TorcsEnv &Env, RlVariant Variant,
   Opt.QCfg.TrainInterval = 2;
   Opt.EvalEvery = EvalEvery;
   Opt.EvalEpisodes = 6;
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
   return trainRl(Env, RT, Opt);
 }
 } // namespace

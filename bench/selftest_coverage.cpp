@@ -53,7 +53,8 @@ trainAgent(MarioEnv &Env, bool CoverageReward, long Budget,
            long SampleEvery) {
   Env.resetCoverage();
   Env.setCoverageReward(CoverageReward);
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
   RlTrainOptions Opt;
   Opt.FeatureNames = selectRlFeatures(Env);
   Opt.TrainSteps = SampleEvery;

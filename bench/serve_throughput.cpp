@@ -5,7 +5,7 @@
 // predictions against one shared model.
 //
 //   per-call : each session runs its own extract -> nn -> write_back loop
-//              (K independent single-session loops, the pre-split shape).
+//              (K independent single-session loops).
 //   batched  : the K calls of one round fuse into ONE
 //              Engine::nnBatchSessions pass — one forwardBatch serves
 //              every tenant's row.
@@ -47,7 +47,7 @@ void probeRow(int K, float *X) {
 }
 
 /// Trains and publishes the shared model every serving case binds to.
-NameId trainServedModel(Engine &Eng, Session &Trainer) {
+NameId trainServedModel(Session &Trainer) {
   ModelConfig Cfg;
   Cfg.Name = "Served";
   Cfg.HiddenLayers = {256, 256};
@@ -173,7 +173,7 @@ int main() {
 
   Engine Eng;
   Session Trainer(Eng, Mode::TR);
-  NameId ModelId = trainServedModel(Eng, Trainer);
+  NameId ModelId = trainServedModel(Trainer);
 
   const long Rounds = scaled(2000, 50);
   for (int K : {1, 2, 4, 8, 16}) {

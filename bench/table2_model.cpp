@@ -70,8 +70,9 @@ void addRlRow(Table &Out, GameEnv &Env, long Window) {
   AllOpt.TrainSteps = Window;
   AllOpt.Seed = 11;
   AllOpt.QCfg.TrainInterval = 4;
-  Runtime RtAll(Mode::TR);
-  RlTrainResult All = trainRl(Env, RtAll, AllOpt);
+  Engine EngAll;
+  Session SAll(EngAll, Mode::TR);
+  RlTrainResult All = trainRl(Env, SAll, AllOpt);
 
   RlTrainOptions RawOpt;
   RawOpt.Variant = RlVariant::Raw;
@@ -79,8 +80,9 @@ void addRlRow(Table &Out, GameEnv &Env, long Window) {
   RawOpt.TrainSteps = Window;
   RawOpt.Seed = 11;
   RawOpt.QCfg.TrainInterval = 4;
-  Runtime RtRaw(Mode::TR);
-  RlTrainResult Raw = trainRl(Env, RtRaw, RawOpt);
+  Engine EngRaw;
+  Session SRaw(EngRaw, Mode::TR);
+  RlTrainResult Raw = trainRl(Env, SRaw, RawOpt);
 
   Out.addRow({std::string("[RL] ") + Env.name(), kb(Raw.TraceBytes),
               kb(Raw.ModelBytes), kb(All.TraceBytes), kb(All.ModelBytes),

@@ -25,7 +25,8 @@ static double trainAndMeasure(bool CoverageReward, long Steps) {
   MarioEnv Game;
   Game.resetCoverage();
   Game.setCoverageReward(CoverageReward); // Fig. 2 line 38 on/off.
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
   RlTrainOptions Opt;
   Opt.FeatureNames = selectRlFeatures(Game);
   Opt.TrainSteps = Steps;

@@ -39,7 +39,8 @@ int main(int Argc, char **Argv) {
   std::printf("\n");
 
   // --- Train the steering policy. ---
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
   RlTrainOptions Opt;
   Opt.FeatureNames = Features;
   Opt.TrainSteps = Steps;

@@ -124,31 +124,10 @@ static void resolveFeatureIdx(GameEnv &Env, const RlTrainOptions &Opt,
   }
 }
 
-/// Runs the au_extract / au_serialize prologue of one loop iteration and
-/// returns the combined extraction handle to feed au_NN. On the first call
-/// the feature positions within Env.features() are resolved and cached in
-/// \p H (the env must be reset by then), replacing the per-step linear name
-/// search of featureValue().
-static NameId extractState(GameEnv &Env, Session &S,
-                           const RlTrainOptions &Opt, RlHandles &H) {
-  if (Opt.Variant == RlVariant::Raw) {
-    Image Frame = Env.renderFrame(Opt.FrameSide);
-    S.extract(H.Img, Frame.size(), Frame.data().data());
-    return H.Img;
-  }
-  resolveFeatureIdx(Env, Opt, H);
-  std::vector<Feature> Fs = Env.features();
-  for (size_t I = 0, E = H.Features.size(); I != E; ++I) {
-    assert(Fs[H.FeatureIdx[I]].first == Opt.FeatureNames[I] &&
-           "env feature order changed between steps");
-    S.extract(H.Features[I], Fs[H.FeatureIdx[I]].second);
-  }
-  return S.serialize(H.Features);
-}
-
-/// extractState into lane session \p S. \p H must be fully resolved
-/// (resolveFeatureIdx) — this runs concurrently for distinct lanes, so it
-/// only reads the shared handle set.
+/// Runs the au_extract / au_serialize prologue of one loop iteration in
+/// lane session \p S and returns the combined extraction handle to feed
+/// au_NN. \p H must be fully resolved (resolveFeatureIdx) — this runs
+/// concurrently for distinct lanes, so it only reads the shared handle set.
 static NameId extractStateLane(GameEnv &Env, Session &S,
                                const RlTrainOptions &Opt,
                                const RlHandles &H) {
@@ -165,6 +144,16 @@ static NameId extractStateLane(GameEnv &Env, Session &S,
     S.extract(H.Features[I], Fs[H.FeatureIdx[I]].second);
   }
   return S.serialize(H.Features);
+}
+
+/// extractStateLane for the serial loops: on the first call the feature
+/// positions within Env.features() are resolved and cached in \p H (the env
+/// must be reset by then), replacing a per-step linear name search.
+static NameId extractState(GameEnv &Env, Session &S,
+                           const RlTrainOptions &Opt, RlHandles &H) {
+  if (Opt.Variant == RlVariant::All)
+    resolveFeatureIdx(Env, Opt, H);
+  return extractStateLane(Env, S, Opt, H);
 }
 
 /// Configures (or finds) the model for this env/variant pair.
@@ -253,11 +242,6 @@ RlTrainResult au::apps::trainRl(GameEnv &Env, Session &S,
   if (Restores > 0)
     Res.RestoreSeconds = RestoreTotal / static_cast<double>(Restores);
   return Res;
-}
-
-RlTrainResult au::apps::trainRl(GameEnv &Env, Runtime &RT,
-                                const RlTrainOptions &Opt) {
-  return trainRl(Env, RT.session(), Opt);
 }
 
 RlTrainResult au::apps::trainRlParallel(const GameEnvFactory &Factory,
@@ -373,13 +357,6 @@ RlTrainResult au::apps::trainRlParallel(const GameEnvFactory &Factory,
   return Res;
 }
 
-RlTrainResult au::apps::trainRlParallel(const GameEnvFactory &Factory,
-                                        Runtime &RT,
-                                        const RlTrainOptions &Opt,
-                                        int NumActors) {
-  return trainRlParallel(Factory, RT.engine(), RT.session(), Opt, NumActors);
-}
-
 RlEvalResult au::apps::evalRlBatched(const GameEnvFactory &Factory,
                                      Engine &Eng, Session &Main,
                                      const RlTrainOptions &Opt,
@@ -471,12 +448,6 @@ RlEvalResult au::apps::evalRlBatched(const GameEnvFactory &Factory,
   return Res;
 }
 
-RlEvalResult au::apps::evalRlBatched(const GameEnvFactory &Factory,
-                                     Runtime &RT, const RlTrainOptions &Opt,
-                                     int Episodes) {
-  return evalRlBatched(Factory, RT.engine(), RT.session(), Opt, Episodes);
-}
-
 RlEvalResult au::apps::evalRl(GameEnv &Env, Session &S,
                               const RlTrainOptions &Opt, int Episodes) {
   assert(Episodes > 0 && "evaluation needs at least one episode");
@@ -517,11 +488,6 @@ RlEvalResult au::apps::evalRl(GameEnv &Env, Session &S,
   S.switchMode(PrevMode);
   Env.loadState(Saved);
   return Res;
-}
-
-RlEvalResult au::apps::evalRl(GameEnv &Env, Runtime &RT,
-                              const RlTrainOptions &Opt, int Episodes) {
-  return evalRl(Env, RT.session(), Opt, Episodes);
 }
 
 /// Shared scripted-policy evaluation loop.

@@ -4,7 +4,6 @@
 
 #include "support/Rng.h"
 #include "support/Statistics.h"
-#include "support/Timer.h"
 
 #include <algorithm>
 #include <cassert>
@@ -279,8 +278,7 @@ double au::apps::robinsonFoulds(const std::vector<int> &A,
 }
 
 double au::apps::phylipScore(const PhylipDataset &D, const PhylipParams &P) {
-  std::vector<int> Tree = neighborJoin(phylipDistances(D, P), NumTaxa);
-  return robinsonFoulds(Tree, D.TrueParent, NumTaxa);
+  return PhylipProgram::score(D, PhylipProgram::run(D, P));
 }
 
 PhylipParams au::apps::autotunePhylip(const PhylipDataset &D) {
@@ -327,23 +325,11 @@ void au::apps::phylipProfile(analysis::Tracer &T,
 }
 
 //===----------------------------------------------------------------------===//
-// The experiment driver
+// The annotated program
 //===----------------------------------------------------------------------===//
 
-PhylipExperiment::PhylipExperiment(int NumTrain, int NumTest, uint64_t S)
-    : Seed(S) {
-  for (int I = 0; I < NumTrain; ++I) {
-    TrainSets.push_back(makePhylipDataset(Seed + 100 + I));
-    TrainOracle.push_back(autotunePhylip(TrainSets.back()));
-  }
-  for (int I = 0; I < NumTest; ++I)
-    TestSets.push_back(makePhylipDataset(Seed + 40000 + I));
-  for (auto &RT : Runtimes)
-    RT = std::make_unique<Runtime>(Mode::TR);
-}
-
-std::vector<float> PhylipExperiment::paramFeature(const PhylipDataset &D,
-                                                  SlPick Pick) {
+/// The feature vector each version extracts.
+static std::vector<float> paramFeature(const PhylipDataset &D, SlPick Pick) {
   int SeqLen = static_cast<int>(D.Sequences.front().size());
   switch (Pick) {
   case SlPick::Min: {
@@ -437,81 +423,37 @@ std::vector<float> PhylipExperiment::paramFeature(const PhylipDataset &D,
   return {};
 }
 
-double PhylipExperiment::runAnnotated(Runtime &RT, const PhylipDataset &D,
-                                      SlPick Pick,
-                                      const PhylipParams &Train) {
+ModelConfig PhylipProgram::model(uint64_t Seed) {
   ModelConfig Cfg;
   Cfg.Name = "PhyNN";
   Cfg.HiddenLayers = {48, 24};
   Cfg.Seed = Seed + 4;
-  RT.config(Cfg);
+  return Cfg;
+}
 
-  PhylipParams P = Train;
+PhylipParams PhylipProgram::annotate(Session &S, const PhylipDataset &D,
+                                     SlPick Pick, PhylipParams P) {
   std::vector<float> Feat = paramFeature(D, Pick);
-  RT.extract("FEAT", Feat.size(), Feat.data());
-  RT.nn("PhyNN", "FEAT", {{"ALPHA", 1}, {"KAPPA", 1}, {"GAPT", 1}});
+  S.extract("FEAT", Feat.size(), Feat.data());
+  S.nn("PhyNN", "FEAT", {{"ALPHA", 1}, {"KAPPA", 1}, {"GAPT", 1}});
   float AlphaV = static_cast<float>(P.Alpha);
   float KappaV = static_cast<float>(P.Kappa);
   float GapV = static_cast<float>(P.GapThresh);
-  RT.writeBack("ALPHA", 1, &AlphaV);
-  RT.writeBack("KAPPA", 1, &KappaV);
-  RT.writeBack("GAPT", 1, &GapV);
+  S.writeBack("ALPHA", 1, &AlphaV);
+  S.writeBack("KAPPA", 1, &KappaV);
+  S.writeBack("GAPT", 1, &GapV);
   P.Alpha = clamp(AlphaV, 0.3, 3.2);
   P.Kappa = clamp(KappaV, 1.0, 4.5);
   P.GapThresh = clamp(GapV, 0.1, 0.75);
-
-  return phylipScore(D, P);
+  return P;
 }
 
-double PhylipExperiment::train(SlPick Pick, int Epochs) {
-  Runtime &RT = *Runtimes[Idx(Pick)];
-  assert(RT.mode() == Mode::TR && "training twice on the same version");
-  Timer T;
-  for (size_t I = 0; I != TrainSets.size(); ++I)
-    runAnnotated(RT, TrainSets[I], Pick, TrainOracle[I]);
-  RT.trainSupervised("PhyNN", Epochs, 16);
-  double Secs = T.seconds();
-  TraceBytesPer[Idx(Pick)] = RT.stats().traceBytes();
-  ModelBytesPer[Idx(Pick)] = RT.getModel("PhyNN")->modelSizeBytes();
-  RT.switchMode(Mode::TS);
-  return Secs;
+std::vector<int> PhylipProgram::run(const PhylipDataset &D,
+                                    const PhylipParams &P) {
+  return neighborJoin(phylipDistances(D, P), NumTaxa);
 }
 
-double PhylipExperiment::testScore(SlPick Pick) {
-  Runtime &RT = *Runtimes[Idx(Pick)];
-  assert(RT.mode() == Mode::TS && "test before train");
-  std::vector<double> Scores;
-  for (const PhylipDataset &D : TestSets)
-    Scores.push_back(runAnnotated(RT, D, Pick, PhylipParams()));
-  return mean(Scores);
-}
-
-double PhylipExperiment::baselineScore() {
-  std::vector<double> Scores;
-  for (const PhylipDataset &D : TestSets)
-    Scores.push_back(phylipScore(D, PhylipParams()));
-  return mean(Scores);
-}
-
-double PhylipExperiment::autonomizedExecSeconds(SlPick Pick) {
-  Runtime &RT = *Runtimes[Idx(Pick)];
-  Timer T;
-  for (const PhylipDataset &D : TestSets)
-    runAnnotated(RT, D, Pick, PhylipParams());
-  return T.seconds() / static_cast<double>(TestSets.size());
-}
-
-double PhylipExperiment::baselineExecSeconds() {
-  Timer T;
-  for (const PhylipDataset &D : TestSets)
-    phylipScore(D, PhylipParams());
-  return T.seconds() / static_cast<double>(TestSets.size());
-}
-
-size_t PhylipExperiment::traceBytes(SlPick Pick) const {
-  return TraceBytesPer[static_cast<int>(Pick)];
-}
-
-size_t PhylipExperiment::modelBytes(SlPick Pick) const {
-  return ModelBytesPer[static_cast<int>(Pick)];
+double PhylipProgram::score(const PhylipDataset &D,
+                            const std::vector<int> &Tree) {
+  return robinsonFoulds(Tree, D.TrueParent, NumTaxa);
 }

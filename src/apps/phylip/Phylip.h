@@ -23,7 +23,7 @@
 #define AU_APPS_PHYLIP_PHYLIP_H
 
 #include "analysis/FeatureExtraction.h"
-#include "core/Runtime.h"
+#include "apps/common/SlExperiment.h"
 
 #include <cstdint>
 #include <string>
@@ -79,35 +79,30 @@ PhylipParams autotunePhylip(const PhylipDataset &D);
 void phylipProfile(analysis::Tracer &T, std::vector<std::string> &Inputs,
                    std::vector<std::string> &Targets);
 
-/// The Raw / Med / Min comparison experiment.
-class PhylipExperiment {
-public:
-  PhylipExperiment(int NumTrain, int NumTest, uint64_t Seed);
+/// The annotated Phylip program (SlExperiment.h): the program output is the
+/// inferred tree, scored by its RF distance to the truth.
+struct PhylipProgram {
+  using Input = PhylipDataset;
+  using Params = PhylipParams;
+  using Output = std::vector<int>;
 
-  double train(analysis::SlPick Pick, int Epochs);
-  /// Mean RF distance (lower is better).
-  double testScore(analysis::SlPick Pick);
-  double baselineScore();
-  double autonomizedExecSeconds(analysis::SlPick Pick);
-  double baselineExecSeconds();
-  size_t traceBytes(analysis::SlPick Pick) const;
-  size_t modelBytes(analysis::SlPick Pick) const;
-
-private:
-  double runAnnotated(Runtime &RT, const PhylipDataset &D,
-                      analysis::SlPick Pick, const PhylipParams &Train);
-  static std::vector<float> paramFeature(const PhylipDataset &D,
-                                         analysis::SlPick Pick);
-  int Idx(analysis::SlPick Pick) const { return static_cast<int>(Pick); }
-
-  std::vector<PhylipDataset> TrainSets;
-  std::vector<PhylipParams> TrainOracle;
-  std::vector<PhylipDataset> TestSets;
-  uint64_t Seed;
-  std::vector<std::unique_ptr<Runtime>> Runtimes{3};
-  size_t TraceBytesPer[3] = {0, 0, 0};
-  size_t ModelBytesPer[3] = {0, 0, 0};
+  static Input trainInput(uint64_t Seed, int I) {
+    return makePhylipDataset(Seed + 100 + I);
+  }
+  static Input testInput(uint64_t Seed, int I) {
+    return makePhylipDataset(Seed + 40000 + I);
+  }
+  static Params autotune(const Input &D) { return autotunePhylip(D); }
+  static ModelConfig model(uint64_t Seed);
+  static Params annotate(Session &S, const Input &D, analysis::SlPick Pick,
+                         Params P);
+  static Output run(const Input &D, const Params &P);
+  static double score(const Input &D, const Output &Tree);
 };
+
+/// The Raw / Med / Min comparison experiment; testScore() is the mean RF
+/// distance (lower is better).
+using PhylipExperiment = SlExperiment<PhylipProgram>;
 
 } // namespace apps
 } // namespace au

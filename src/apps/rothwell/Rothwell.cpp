@@ -4,7 +4,6 @@
 
 #include "support/Ssim.h"
 #include "support/Statistics.h"
-#include "support/Timer.h"
 
 #include <algorithm>
 #include <cmath>
@@ -148,24 +147,13 @@ void au::apps::rothwellProfile(analysis::Tracer &T,
 }
 
 //===----------------------------------------------------------------------===//
-// The experiment driver
+// The annotated program
 //===----------------------------------------------------------------------===//
 
-RothwellExperiment::RothwellExperiment(int NumTrain, int NumTest, uint64_t S)
-    : Seed(S) {
-  for (int I = 0; I < NumTrain; ++I) {
-    TrainScenes.push_back(makeCannyScene(Seed + 5000 + I));
-    TrainOracle.push_back(autotuneRothwell(TrainScenes.back()));
-  }
-  for (int I = 0; I < NumTest; ++I)
-    TestScenes.push_back(makeCannyScene(Seed + 20000 + I));
-  for (auto &RT : Runtimes)
-    RT = std::make_unique<Runtime>(Mode::TR);
-}
-
-std::vector<float>
-RothwellExperiment::paramFeature(const CannyScene &Scene,
-                                 const RothwellTrace &Trace, SlPick Pick) {
+/// The feature vector each version extracts.
+static std::vector<float> paramFeature(const CannyScene &Scene,
+                                       const RothwellTrace &Trace,
+                                       SlPick Pick) {
   switch (Pick) {
   case SlPick::Min:
     return Trace.Ratios;
@@ -182,88 +170,31 @@ RothwellExperiment::paramFeature(const CannyScene &Scene,
   return {};
 }
 
-Image RothwellExperiment::runAnnotated(Runtime &RT, const CannyScene &Scene,
-                                       SlPick Pick,
-                                       const RothwellParams &Train) {
+ModelConfig RothwellProgram::model(uint64_t Seed) {
   ModelConfig Cfg;
   Cfg.Name = "RothNN";
   Cfg.HiddenLayers = {48, 24};
   Cfg.Seed = Seed + 3;
-  RT.config(Cfg);
+  return Cfg;
+}
 
-  RothwellParams P = Train;
+RothwellParams RothwellProgram::annotate(Session &S, const CannyScene &Scene,
+                                         SlPick Pick, RothwellParams P) {
   // Fixed-parameter reference pass so extracted features keep the same
   // distribution in training and deployment.
   RothwellTrace Trace;
   rothwellDetect(Scene.Input, RothwellParams(), &Trace);
   std::vector<float> Feat = paramFeature(Scene, Trace, Pick);
-  RT.extract("FEAT", Feat.size(), Feat.data());
-  RT.nn("RothNN", "FEAT", {{"SIGMA", 1}, {"ALPHA", 1}, {"MINLEN", 1}});
+  S.extract("FEAT", Feat.size(), Feat.data());
+  S.nn("RothNN", "FEAT", {{"SIGMA", 1}, {"ALPHA", 1}, {"MINLEN", 1}});
   float SigmaV = static_cast<float>(P.Sigma);
   float AlphaV = static_cast<float>(P.Alpha);
   float LenV = static_cast<float>(P.MinLen);
-  RT.writeBack("SIGMA", 1, &SigmaV);
-  RT.writeBack("ALPHA", 1, &AlphaV);
-  RT.writeBack("MINLEN", 1, &LenV);
+  S.writeBack("SIGMA", 1, &SigmaV);
+  S.writeBack("ALPHA", 1, &AlphaV);
+  S.writeBack("MINLEN", 1, &LenV);
   P.Sigma = clamp(SigmaV, 0.6, 2.6);
   P.Alpha = clamp(AlphaV, 1.0, 3.0);
   P.MinLen = clamp(LenV, 1.0, 14.0);
-
-  return rothwellDetect(Scene.Input, P);
-}
-
-double RothwellExperiment::train(SlPick Pick, int Epochs) {
-  Runtime &RT = *Runtimes[Idx(Pick)];
-  assert(RT.mode() == Mode::TR && "training twice on the same version");
-  Timer T;
-  for (size_t I = 0; I != TrainScenes.size(); ++I)
-    runAnnotated(RT, TrainScenes[I], Pick, TrainOracle[I]);
-  RT.trainSupervised("RothNN", Epochs, 16);
-  double Secs = T.seconds();
-  TraceBytesPer[Idx(Pick)] = RT.stats().traceBytes();
-  ModelBytesPer[Idx(Pick)] = RT.getModel("RothNN")->modelSizeBytes();
-  RT.switchMode(Mode::TS);
-  return Secs;
-}
-
-double RothwellExperiment::testScore(SlPick Pick) {
-  Runtime &RT = *Runtimes[Idx(Pick)];
-  assert(RT.mode() == Mode::TS && "test before train");
-  std::vector<double> Scores;
-  for (const CannyScene &Scene : TestScenes) {
-    Image Edges = runAnnotated(RT, Scene, Pick, RothwellParams());
-    Scores.push_back(cannyScore(Edges, Scene.Truth));
-  }
-  return mean(Scores);
-}
-
-double RothwellExperiment::baselineScore() {
-  std::vector<double> Scores;
-  for (const CannyScene &Scene : TestScenes)
-    Scores.push_back(cannyScore(rothwellDetect(Scene.Input, RothwellParams()),
-                                Scene.Truth));
-  return mean(Scores);
-}
-
-double RothwellExperiment::autonomizedExecSeconds(SlPick Pick) {
-  Runtime &RT = *Runtimes[Idx(Pick)];
-  Timer T;
-  for (const CannyScene &Scene : TestScenes)
-    runAnnotated(RT, Scene, Pick, RothwellParams());
-  return T.seconds() / static_cast<double>(TestScenes.size());
-}
-
-double RothwellExperiment::baselineExecSeconds() {
-  Timer T;
-  for (const CannyScene &Scene : TestScenes)
-    rothwellDetect(Scene.Input, RothwellParams());
-  return T.seconds() / static_cast<double>(TestScenes.size());
-}
-
-size_t RothwellExperiment::traceBytes(SlPick Pick) const {
-  return TraceBytesPer[static_cast<int>(Pick)];
-}
-
-size_t RothwellExperiment::modelBytes(SlPick Pick) const {
-  return ModelBytesPer[static_cast<int>(Pick)];
+  return P;
 }

@@ -23,7 +23,7 @@
 
 #include "analysis/FeatureExtraction.h"
 #include "apps/canny/Canny.h"
-#include "core/Runtime.h"
+#include "apps/common/SlExperiment.h"
 
 namespace au {
 namespace apps {
@@ -56,35 +56,35 @@ RothwellParams autotuneRothwell(const CannyScene &Scene);
 void rothwellProfile(analysis::Tracer &T, std::vector<std::string> &Inputs,
                      std::vector<std::string> &Targets);
 
-/// The Raw / Med / Min comparison experiment (same shape as Canny's).
-class RothwellExperiment {
-public:
-  RothwellExperiment(int NumTrain, int NumTest, uint64_t Seed);
+/// The annotated Rothwell program (SlExperiment.h) over Canny's scenes and
+/// scoring.
+struct RothwellProgram {
+  using Input = CannyScene;
+  using Params = RothwellParams;
+  using Output = Image;
 
-  double train(analysis::SlPick Pick, int Epochs);
-  double testScore(analysis::SlPick Pick);
-  double baselineScore();
-  double autonomizedExecSeconds(analysis::SlPick Pick);
-  double baselineExecSeconds();
-  size_t traceBytes(analysis::SlPick Pick) const;
-  size_t modelBytes(analysis::SlPick Pick) const;
-
-private:
-  Image runAnnotated(Runtime &RT, const CannyScene &Scene,
-                     analysis::SlPick Pick, const RothwellParams &Train);
-  static std::vector<float> paramFeature(const CannyScene &Scene,
-                                         const RothwellTrace &Trace,
-                                         analysis::SlPick Pick);
-  int Idx(analysis::SlPick Pick) const { return static_cast<int>(Pick); }
-
-  std::vector<CannyScene> TrainScenes;
-  std::vector<RothwellParams> TrainOracle;
-  std::vector<CannyScene> TestScenes;
-  uint64_t Seed;
-  std::vector<std::unique_ptr<Runtime>> Runtimes{3};
-  size_t TraceBytesPer[3] = {0, 0, 0};
-  size_t ModelBytesPer[3] = {0, 0, 0};
+  static Input trainInput(uint64_t Seed, int I) {
+    return makeCannyScene(Seed + 5000 + I);
+  }
+  static Input testInput(uint64_t Seed, int I) {
+    return makeCannyScene(Seed + 20000 + I);
+  }
+  static Params autotune(const Input &Scene) {
+    return autotuneRothwell(Scene);
+  }
+  static ModelConfig model(uint64_t Seed);
+  static Params annotate(Session &S, const Input &Scene,
+                         analysis::SlPick Pick, Params P);
+  static Output run(const Input &Scene, const Params &P) {
+    return rothwellDetect(Scene.Input, P);
+  }
+  static double score(const Input &Scene, const Output &Edges) {
+    return cannyScore(Edges, Scene.Truth);
+  }
 };
+
+/// The Raw / Med / Min comparison experiment (same shape as Canny's).
+using RothwellExperiment = SlExperiment<RothwellProgram>;
 
 } // namespace apps
 } // namespace au

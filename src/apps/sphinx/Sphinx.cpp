@@ -4,7 +4,6 @@
 
 #include "support/Rng.h"
 #include "support/Statistics.h"
-#include "support/Timer.h"
 
 #include <algorithm>
 #include <cassert>
@@ -143,7 +142,10 @@ SphinxResult au::apps::sphinxRecognize(const SphinxUtterance &U,
 
 double au::apps::sphinxScore(const SphinxUtterance &U,
                              const SphinxParams &P) {
-  SphinxResult R = sphinxRecognize(U, P);
+  return SphinxProgram::score(U, sphinxRecognize(U, P));
+}
+
+double SphinxProgram::score(const SphinxUtterance &U, const SphinxResult &R) {
   if (R.Word != U.TrueWord)
     return 0.0;
   // Full DTW would expand |U| * TemplateLen * Vocab cells.
@@ -197,23 +199,11 @@ void au::apps::sphinxProfile(analysis::Tracer &T,
 }
 
 //===----------------------------------------------------------------------===//
-// The experiment driver
+// The annotated program
 //===----------------------------------------------------------------------===//
 
-SphinxExperiment::SphinxExperiment(int NumTrain, int NumTest, uint64_t S)
-    : Seed(S) {
-  for (int I = 0; I < NumTrain; ++I) {
-    TrainSet.push_back(makeSphinxUtterance(Seed + 300 + I));
-    TrainOracle.push_back(autotuneSphinx(TrainSet.back()));
-  }
-  for (int I = 0; I < NumTest; ++I)
-    TestSet.push_back(makeSphinxUtterance(Seed + 60000 + I));
-  for (auto &RT : Runtimes)
-    RT = std::make_unique<Runtime>(Mode::TR);
-}
-
-std::vector<float> SphinxExperiment::paramFeature(const SphinxUtterance &U,
-                                                  SlPick Pick) {
+/// The feature vector each version extracts.
+static std::vector<float> paramFeature(const SphinxUtterance &U, SlPick Pick) {
   int Len = static_cast<int>(U.Frames.size());
   switch (Pick) {
   case SlPick::Min: {
@@ -263,78 +253,24 @@ std::vector<float> SphinxExperiment::paramFeature(const SphinxUtterance &U,
   return {};
 }
 
-double SphinxExperiment::runAnnotated(Runtime &RT, const SphinxUtterance &U,
-                                      SlPick Pick,
-                                      const SphinxParams &Train) {
+ModelConfig SphinxProgram::model(uint64_t Seed) {
   ModelConfig Cfg;
   Cfg.Name = "SphinxNN";
   Cfg.HiddenLayers = {48, 24};
   Cfg.Seed = Seed + 5;
-  RT.config(Cfg);
+  return Cfg;
+}
 
-  SphinxParams P = Train;
+SphinxParams SphinxProgram::annotate(Session &S, const SphinxUtterance &U,
+                                     SlPick Pick, SphinxParams P) {
   std::vector<float> Feat = paramFeature(U, Pick);
-  RT.extract("FEAT", Feat.size(), Feat.data());
-  RT.nn("SphinxNN", "FEAT", {{"BEAM", 1}, {"NFLOOR", 1}});
+  S.extract("FEAT", Feat.size(), Feat.data());
+  S.nn("SphinxNN", "FEAT", {{"BEAM", 1}, {"NFLOOR", 1}});
   float BeamV = static_cast<float>(P.Beam);
   float FloorV = static_cast<float>(P.NoiseFloor);
-  RT.writeBack("BEAM", 1, &BeamV);
-  RT.writeBack("NFLOOR", 1, &FloorV);
+  S.writeBack("BEAM", 1, &BeamV);
+  S.writeBack("NFLOOR", 1, &FloorV);
   P.Beam = clamp(BeamV, 0.2, 8.0);
   P.NoiseFloor = clamp(FloorV, 0.0, 0.16);
-
-  return sphinxScore(U, P);
-}
-
-double SphinxExperiment::train(SlPick Pick, int Epochs) {
-  Runtime &RT = *Runtimes[Idx(Pick)];
-  assert(RT.mode() == Mode::TR && "training twice on the same version");
-  Timer T;
-  for (size_t I = 0; I != TrainSet.size(); ++I)
-    runAnnotated(RT, TrainSet[I], Pick, TrainOracle[I]);
-  RT.trainSupervised("SphinxNN", Epochs, 16);
-  double Secs = T.seconds();
-  TraceBytesPer[Idx(Pick)] = RT.stats().traceBytes();
-  ModelBytesPer[Idx(Pick)] = RT.getModel("SphinxNN")->modelSizeBytes();
-  RT.switchMode(Mode::TS);
-  return Secs;
-}
-
-double SphinxExperiment::testScore(SlPick Pick) {
-  Runtime &RT = *Runtimes[Idx(Pick)];
-  assert(RT.mode() == Mode::TS && "test before train");
-  std::vector<double> Scores;
-  for (const SphinxUtterance &U : TestSet)
-    Scores.push_back(runAnnotated(RT, U, Pick, SphinxParams()));
-  return mean(Scores);
-}
-
-double SphinxExperiment::baselineScore() {
-  std::vector<double> Scores;
-  for (const SphinxUtterance &U : TestSet)
-    Scores.push_back(sphinxScore(U, SphinxParams()));
-  return mean(Scores);
-}
-
-double SphinxExperiment::autonomizedExecSeconds(SlPick Pick) {
-  Runtime &RT = *Runtimes[Idx(Pick)];
-  Timer T;
-  for (const SphinxUtterance &U : TestSet)
-    runAnnotated(RT, U, Pick, SphinxParams());
-  return T.seconds() / static_cast<double>(TestSet.size());
-}
-
-double SphinxExperiment::baselineExecSeconds() {
-  Timer T;
-  for (const SphinxUtterance &U : TestSet)
-    sphinxScore(U, SphinxParams());
-  return T.seconds() / static_cast<double>(TestSet.size());
-}
-
-size_t SphinxExperiment::traceBytes(SlPick Pick) const {
-  return TraceBytesPer[static_cast<int>(Pick)];
-}
-
-size_t SphinxExperiment::modelBytes(SlPick Pick) const {
-  return ModelBytesPer[static_cast<int>(Pick)];
+  return P;
 }

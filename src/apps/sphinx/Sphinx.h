@@ -22,7 +22,7 @@
 #define AU_APPS_SPHINX_SPHINX_H
 
 #include "analysis/FeatureExtraction.h"
-#include "core/Runtime.h"
+#include "apps/common/SlExperiment.h"
 
 #include <array>
 #include <cstdint>
@@ -80,34 +80,31 @@ SphinxParams autotuneSphinx(const SphinxUtterance &U);
 void sphinxProfile(analysis::Tracer &T, std::vector<std::string> &Inputs,
                    std::vector<std::string> &Targets);
 
-/// The Raw / Med / Min comparison experiment.
-class SphinxExperiment {
-public:
-  SphinxExperiment(int NumTrain, int NumTest, uint64_t Seed);
+/// The annotated Sphinx program (SlExperiment.h).
+struct SphinxProgram {
+  using Input = SphinxUtterance;
+  using Params = SphinxParams;
+  using Output = SphinxResult;
 
-  double train(analysis::SlPick Pick, int Epochs);
-  double testScore(analysis::SlPick Pick);
-  double baselineScore();
-  double autonomizedExecSeconds(analysis::SlPick Pick);
-  double baselineExecSeconds();
-  size_t traceBytes(analysis::SlPick Pick) const;
-  size_t modelBytes(analysis::SlPick Pick) const;
-
-private:
-  double runAnnotated(Runtime &RT, const SphinxUtterance &U,
-                      analysis::SlPick Pick, const SphinxParams &Train);
-  static std::vector<float> paramFeature(const SphinxUtterance &U,
-                                         analysis::SlPick Pick);
-  int Idx(analysis::SlPick Pick) const { return static_cast<int>(Pick); }
-
-  std::vector<SphinxUtterance> TrainSet;
-  std::vector<SphinxParams> TrainOracle;
-  std::vector<SphinxUtterance> TestSet;
-  uint64_t Seed;
-  std::vector<std::unique_ptr<Runtime>> Runtimes{3};
-  size_t TraceBytesPer[3] = {0, 0, 0};
-  size_t ModelBytesPer[3] = {0, 0, 0};
+  static Input trainInput(uint64_t Seed, int I) {
+    return makeSphinxUtterance(Seed + 300 + I);
+  }
+  static Input testInput(uint64_t Seed, int I) {
+    return makeSphinxUtterance(Seed + 60000 + I);
+  }
+  static Params autotune(const Input &U) { return autotuneSphinx(U); }
+  static ModelConfig model(uint64_t Seed);
+  static Params annotate(Session &S, const Input &U, analysis::SlPick Pick,
+                         Params P);
+  static Output run(const Input &U, const Params &P) {
+    return sphinxRecognize(U, P);
+  }
+  /// The sphinxScore of a recognition outcome.
+  static double score(const Input &U, const Output &R);
 };
+
+/// The Raw / Med / Min comparison experiment.
+using SphinxExperiment = SlExperiment<SphinxProgram>;
 
 } // namespace apps
 } // namespace au

@@ -12,10 +12,40 @@
 /// what Fig. 8 scopes to a single execution, so many sessions can serve
 /// concurrently over one Engine.
 ///
-/// Every primitive of Fig. 1 is implemented here exactly once — the main
-/// path, the facade's actor path and the RlHarness session pools all run
-/// through the same Session methods. String-keyed overloads are one-line
-/// interning shims over the handle-keyed hot path (DESIGN.md §7).
+/// Every primitive of Fig. 1 is implemented here exactly once — a
+/// program's own session and the RlHarness session pools all run through
+/// the same Session methods. String-keyed overloads are one-line interning
+/// shims over the handle-keyed hot path (DESIGN.md §7).
+///
+/// A program is autonomized by holding an Engine (theta, shared by every
+/// execution) and a Session (this execution's <sigma, pi>) and adding a few
+/// calls:
+///
+/// \code
+///   au::Engine Eng;
+///   au::Session S(Eng, au::Mode::TR);
+///   S.config({.Name = "Mario", .Type = au::ModelType::DNN,
+///             .Algo = au::Algorithm::QLearn, .HiddenLayers = {256, 64}});
+///   ...
+///   S.checkpoint();
+///   while (Running) {
+///     S.extract("PX", Player.X);
+///     S.extract("PY", Player.Y);
+///     S.nn("Mario", S.serialize({"PX", "PY"}), Reward, Terminated,
+///          {"output", /*NumActions=*/5});
+///     S.writeBack("output", 5, &ActionKey);
+///     act(ActionKey);
+///     if (Terminated)
+///       S.restore();
+///   }
+/// \endcode
+///
+/// In TR (training) mode learning piggybacks on the execution: supervised
+/// models record the program's own (human/autotuner-chosen) target values
+/// at au_write_back as labels and train offline via trainSupervised();
+/// Q-learning models train online inside au_NN. In TS (deployment) mode
+/// au_config loads saved models and au_write_back overwrites the target
+/// variables with predictions.
 ///
 /// A session's name table mirrors the Engine's master table: intern() asks
 /// the Engine for the id and then replays any names this store has not seen
@@ -49,9 +79,8 @@ class Engine;
 class InferenceReplica;
 
 /// Primitive-level counters (used by the overhead microbenchmarks and by
-/// the Table 2 trace-size accounting). Named RuntimeStats for source
-/// compatibility with the pre-split Runtime API; each Session owns one.
-struct RuntimeStats {
+/// the Table 2 trace-size accounting); each Session owns one.
+struct SessionStats {
   size_t NumConfig = 0;
   size_t NumExtract = 0;
   size_t FloatsExtracted = 0;
@@ -64,8 +93,6 @@ struct RuntimeStats {
   /// Trace footprint in bytes (extracted floats), Table 2's "Trace Size".
   size_t traceBytes() const { return FloatsExtracted * sizeof(float); }
 };
-
-using SessionStats = RuntimeStats;
 
 /// Handle-keyed counterpart of WriteBackSpec: one declared output under an
 /// interned name. For SL the number of predicted floats; for RL the number
@@ -232,12 +259,12 @@ public:
 
   DatabaseStore &db() { return Db; }
   CheckpointManager &checkpoints() { return Ckpt; }
-  const RuntimeStats &stats() const { return Stats; }
+  const SessionStats &stats() const { return Stats; }
 
   /// Folds externally accumulated primitive counters into this session's
-  /// stats (session pools and the facade's actor-stats merge report their
-  /// workers' counters into the session whose stats() the caller reads).
-  void foldStats(const RuntimeStats &Delta) {
+  /// stats (session pools report their workers' counters into the session
+  /// whose stats() the caller reads).
+  void foldStats(const SessionStats &Delta) {
     Stats.NumExtract += Delta.NumExtract;
     Stats.FloatsExtracted += Delta.FloatsExtracted;
     Stats.NumSerialize += Delta.NumSerialize;
@@ -270,8 +297,7 @@ public:
   /// replica of the engine's latest *published* parameter snapshot instead
   /// of touching the live (possibly training) model: many sessions on many
   /// threads then run inference concurrently while one trainer publishes.
-  /// Off by default — the single-tenant path reads the live model directly,
-  /// which keeps pre-split behavior bit-identical.
+  /// Off by default: the single-tenant path reads the live model directly.
   void setSharedInference(bool On) { SharedInference = On; }
   bool sharedInference() const { return SharedInference; }
 
@@ -322,7 +348,7 @@ private:
   std::vector<Model *> ModelCache; ///< NameId -> model (engine-backed).
   std::vector<NameId> WbOwner;     ///< Output id -> owning model id.
   std::vector<PendingSample> Pending;
-  RuntimeStats Stats;
+  SessionStats Stats;
   bool SharedInference = false;
   /// NameId -> serving replica (only populated under shared inference).
   std::vector<std::unique_ptr<InferenceReplica>> Replicas;

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -29,6 +30,16 @@ bool au::nn::simdSupported() {
 #endif
 }
 
+std::optional<Backend> au::nn::parseBackend(std::string_view Value) {
+  if (Value == "simd")
+    return Backend::Simd;
+  if (Value == "blocked")
+    return Backend::Blocked;
+  if (Value == "naive")
+    return Backend::Naive;
+  return std::nullopt;
+}
+
 namespace {
 
 Backend clampToHardware(Backend B) {
@@ -38,19 +49,21 @@ Backend clampToHardware(Backend B) {
 }
 
 Backend readBackendFromEnv() {
+  Backend B = Backend::Simd;
   const char *Env = std::getenv("AU_NN_BACKEND");
-  if (Env) {
-    if (std::strcmp(Env, "naive") == 0)
-      return Backend::Naive;
-    if (std::strcmp(Env, "blocked") == 0 || std::strcmp(Env, "gemm") == 0)
-      return Backend::Blocked;
-    if (std::strcmp(Env, "simd") == 0)
-      return clampToHardware(Backend::Simd);
+  if (Env && *Env) {
+    if (std::optional<Backend> Parsed = parseBackend(Env))
+      B = *Parsed;
+    else
+      std::fprintf(stderr,
+                   "AU_NN_BACKEND=%s is not one of simd|blocked|naive; "
+                   "using the default\n",
+                   Env);
   }
-  return clampToHardware(Backend::Simd);
+  return clampToHardware(B);
 }
 
-Backend ActiveBackend = readBackendFromEnv();
+Backend ActiveBackend = defaultBackend();
 
 // Per-thread packing scratch. Packing happens on the thread issuing the GEMM
 // (before any parallel region), so concurrent GEMMs from different pool

@@ -16,8 +16,8 @@
 ///
 ///  * simd    — AVX2/FMA 6x16 register-tile micro-kernel over panel-packed
 ///              operands (the default when the CPU supports AVX2 and FMA).
-///  * blocked — the portable blocked-scalar kernel ("gemm" is accepted as a
-///              legacy alias); also the fallback on CPUs without AVX2/FMA.
+///  * blocked — the portable blocked-scalar kernel; also the fallback on
+///              CPUs without AVX2/FMA.
 ///  * naive   — the original scalar per-sample layer kernels, kept as the
 ///              reference implementation for differential testing.
 ///
@@ -32,6 +32,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 namespace au {
@@ -48,10 +50,15 @@ enum class Backend {
 /// CPU reports AVX2 + FMA).
 bool simdSupported();
 
-/// The active backend: AU_NN_BACKEND=simd|blocked|naive on first query
-/// ("gemm" is accepted as an alias for blocked), unless overridden by
-/// setBackend(). Defaults to simd when supported, else blocked.
+/// The active backend: AU_NN_BACKEND=simd|blocked|naive on first query,
+/// unless overridden by setBackend(). Defaults to simd when supported, else
+/// blocked; any other non-empty value prints one line to stderr and takes
+/// the default.
 Backend backend();
+
+/// Parses an AU_NN_BACKEND value: "simd", "blocked" or "naive", else
+/// nullopt.
+std::optional<Backend> parseBackend(std::string_view Value);
 
 /// Overrides the active backend (tests and benchmarks). Requesting simd on
 /// hardware without AVX2/FMA falls back to blocked.

@@ -283,8 +283,9 @@ TEST(BreakoutTest, BallSpeedsUpWithHits) {
   int Steps = 0;
   while (E.bricksHit() < 3 && !E.terminal() && Steps++ < 2000)
     E.step(E.heuristicAction(R));
-  if (E.bricksHit() >= 3)
+  if (E.bricksHit() >= 3) {
     EXPECT_GT(featureValue(E.features(), "speedScale"), SpeedBefore);
+  }
 }
 
 TEST(TorcsTest, StraightSteeringOnStraightTrackSurvives) {

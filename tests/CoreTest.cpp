@@ -2,8 +2,8 @@
 
 #include "core/Checkpoint.h"
 #include "core/DatabaseStore.h"
+#include "core/Engine.h"
 #include "core/Model.h"
-#include "core/Runtime.h"
 
 #include <gtest/gtest.h>
 
@@ -239,11 +239,12 @@ TEST(RlModelTest, SaveLoadRoundTrip) {
 }
 
 //===----------------------------------------------------------------------===//
-// Runtime primitives
+// Session primitives
 //===----------------------------------------------------------------------===//
 
 TEST(RuntimeTest, ExtractAppendsAndCounts) {
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
   float Vals[3] = {1, 2, 3};
   RT.extract("X", 3, Vals);
   RT.extract("X", 1.5f);
@@ -254,14 +255,16 @@ TEST(RuntimeTest, ExtractAppendsAndCounts) {
 }
 
 TEST(RuntimeTest, ExtractDoubleConverts) {
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
   double Vals[2] = {1.25, -2.5};
   RT.extract("D", 2, Vals);
   EXPECT_FLOAT_EQ(RT.db().get("D")[1], -2.5f);
 }
 
 TEST(RuntimeTest, ConfigIsIdempotent) {
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
   ModelConfig C;
   C.Name = "m";
   C.HiddenLayers = {4};
@@ -272,7 +275,8 @@ TEST(RuntimeTest, ConfigIsIdempotent) {
 }
 
 TEST(RuntimeTest, SupervisedTrainPredictCycle) {
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
   ModelConfig C;
   C.Name = "lin";
   C.HiddenLayers = {16};
@@ -302,7 +306,8 @@ TEST(RuntimeTest, SupervisedTrainPredictCycle) {
 }
 
 TEST(RuntimeTest, MultiOutputLabelsAssembleInDeclaredOrder) {
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
   ModelConfig C;
   C.Name = "multi";
   C.HiddenLayers = {8};
@@ -332,7 +337,8 @@ TEST(RuntimeTest, MultiOutputLabelsAssembleInDeclaredOrder) {
 }
 
 TEST(RuntimeTest, SerializeReturnsCombinedName) {
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
   RT.extract("PX", 1.0f);
   RT.extract("PY", 2.0f);
   std::string Name = RT.serialize({"PX", "PY"});
@@ -341,7 +347,8 @@ TEST(RuntimeTest, SerializeReturnsCombinedName) {
 }
 
 TEST(RuntimeTest, RlNnStepsAndWritesAction) {
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
   ModelConfig C;
   C.Name = "agent";
   C.Algo = Algorithm::QLearn;
@@ -363,7 +370,8 @@ TEST(RuntimeTest, RlNnStepsAndWritesAction) {
 }
 
 TEST(RuntimeTest, CheckpointRestoreExcludesModels) {
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
   ModelConfig C;
   C.Name = "agent";
   C.Algo = Algorithm::QLearn;
@@ -396,7 +404,8 @@ TEST(RuntimeTest, CheckpointRestoreExcludesModels) {
 TEST(RuntimeTest, TsModeLoadsSavedModel) {
   std::string Dir = "/tmp";
   {
-    Runtime RT(Mode::TR, Dir);
+    Engine Eng(Dir);
+    Session RT(Eng, Mode::TR);
     ModelConfig C;
     C.Name = "persisted";
     C.HiddenLayers = {8};
@@ -414,7 +423,8 @@ TEST(RuntimeTest, TsModeLoadsSavedModel) {
     ASSERT_TRUE(RT.saveModel("persisted"));
   }
   {
-    Runtime RT(Mode::TS, Dir);
+    Engine Eng(Dir);
+    Session RT(Eng, Mode::TS);
     ModelConfig C;
     C.Name = "persisted";
     RT.config(C); // CONFIG-TEST loads from disk.
@@ -428,14 +438,17 @@ TEST(RuntimeTest, TsModeLoadsSavedModel) {
 }
 
 TEST(RuntimeTest, ModelPathComposition) {
-  Runtime A(Mode::TR, "/models");
+  Engine AEng("/models");
+  Session A(AEng, Mode::TR);
   EXPECT_EQ(A.modelPath("m"), "/models/m.aumodel");
-  Runtime B(Mode::TR);
+  Engine BEng;
+  Session B(BEng, Mode::TR);
   EXPECT_EQ(B.modelPath("m"), "m.aumodel");
 }
 
 TEST(RuntimeTest, StatsCountPrimitives) {
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
   ModelConfig C;
   C.Name = "m";
   C.HiddenLayers = {4};
@@ -447,7 +460,7 @@ TEST(RuntimeTest, StatsCountPrimitives) {
   RT.writeBack("Y", 1, &V);
   RT.checkpoint();
   RT.restore();
-  const RuntimeStats &S = RT.stats();
+  const SessionStats &S = RT.stats();
   EXPECT_EQ(S.NumConfig, 1u);
   EXPECT_EQ(S.NumExtract, 1u);
   EXPECT_EQ(S.NumSerialize, 1u);
@@ -478,7 +491,7 @@ TEST(NameTableTest, NameReferencesStayStableAcrossGrowth) {
   NameTable T;
   const std::string &First = T.name(T.intern("first"));
   for (int I = 0; I < 1000; ++I)
-    T.intern("n" + std::to_string(I));
+    T.intern(std::to_string(I));
   EXPECT_EQ(First, "first"); // No reallocation moved the string out.
   EXPECT_EQ(T.find("first"), 0u);
 }
@@ -608,7 +621,7 @@ TEST(RuntimeTest, StringAndHandleTracesAreEquivalent) {
   // The same RL deployment loop driven once through the string API and
   // once through interned handles must be observationally identical: same
   // actions, same pi contents, same primitive counts.
-  auto Configure = [](Runtime &RT) {
+  auto Configure = [](Session &RT) {
     ModelConfig C;
     C.Name = "agent";
     C.Algo = Algorithm::QLearn;
@@ -616,7 +629,8 @@ TEST(RuntimeTest, StringAndHandleTracesAreEquivalent) {
     C.Seed = 11;
     RT.config(C);
   };
-  Runtime S(Mode::TR), H(Mode::TR);
+  Engine SEng, HEng;
+  Session S(SEng, Mode::TR), H(HEng, Mode::TR);
   Configure(S);
   Configure(H);
   NameId PX = H.intern("PX"), PY = H.intern("PY");
@@ -653,7 +667,8 @@ TEST(RuntimeTest, StringAndHandleTracesAreEquivalent) {
 }
 
 TEST(RuntimeTest, NnBatchMatchesScalarPredictions) {
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
   ModelConfig C;
   C.Name = "m";
   C.HiddenLayers = {16};
@@ -693,7 +708,8 @@ TEST(CheckpointTest, DirtyTrackingStressBitIdentical) {
   // Many regions, objects and pi slots; repeated mutate/restore rounds with
   // different dirty subsets each round must restore bit-identically while
   // re-copying only the dirty slice at each checkpoint.
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
   CheckpointManager &M = RT.checkpoints();
   DatabaseStore &Db = RT.db();
 
@@ -768,7 +784,8 @@ TEST(CheckpointTest, DirtyTrackingStressBitIdentical) {
 }
 
 TEST(CheckpointTest, SlotsInternedAfterSnapshotRollBackToBottom) {
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
   RT.extract("old", 1.0f);
   RT.checkpoint();
   NameId Fresh = RT.intern("fresh");

@@ -9,7 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "apps/flappy/Flappy.h"
-#include "core/Runtime.h"
+#include "core/Engine.h"
 #include "nn/Layers.h"
 #include "semantics/Interp.h"
 
@@ -22,7 +22,8 @@ using namespace au;
 //===----------------------------------------------------------------------===//
 
 TEST(CustomNetworkTest, SupervisedModelUsesCallback) {
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
   ModelConfig C;
   C.Name = "custom";
   C.Seed = 3;
@@ -107,7 +108,8 @@ TEST(CnnSlTest, TrainsOnImageLikeFeatures) {
 //===----------------------------------------------------------------------===//
 
 TEST(MultiModelTest, SupervisedAndReinforcementCoexist) {
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
   ModelConfig Sl;
   Sl.Name = "param";
   Sl.HiddenLayers = {8};
@@ -154,7 +156,8 @@ TEST(DifferentialTest, ExtractWriteBackPlumbingMatchesSemantics) {
                         semantics::ExtractStmt{"ext", "size", "x"},
                     });
 
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
   float X[3] = {1.0f, 2.0f, 3.0f};
   RT.extract("ext", 3, X);
   RT.extract("ext", 3, X);
@@ -168,7 +171,8 @@ TEST(DifferentialTest, SerializeNameCompositionMatchesSemantics) {
   M.Pi.set("b", {2.0f});
   semantics::step(M, semantics::SerializeStmt{"a", "b"});
 
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
   RT.extract("a", 1.0f);
   RT.extract("b", 2.0f);
   std::string Name = RT.serialize({"a", "b"});
@@ -195,7 +199,8 @@ TEST(DifferentialTest, CheckpointScopeMatchesSemantics) {
   EXPECT_EQ(M.Theta["m"], ThetaTrained);
   EXPECT_TRUE(M.Pi.get("wb").empty());
 
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
   ModelConfig MC;
   MC.Name = "m";
   MC.Algo = Algorithm::QLearn;
@@ -221,7 +226,8 @@ class SerializeArity : public ::testing::TestWithParam<int> {};
 
 TEST_P(SerializeArity, CombinedLengthIsSumAndConstituentsConsumed) {
   int N = GetParam();
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
   std::vector<std::string> Names;
   size_t Expected = 0;
   for (int I = 0; I < N; ++I) {
@@ -235,9 +241,10 @@ TEST_P(SerializeArity, CombinedLengthIsSumAndConstituentsConsumed) {
   std::string Combined = RT.serialize(Names);
   EXPECT_EQ(RT.db().get(Combined).size(), Expected);
   for (const std::string &Name : Names)
-    if (Name != Combined) // A single list serializes onto its own name.
+    if (Name != Combined) { // A single list serializes onto its own name.
       EXPECT_TRUE(RT.db().get(Name).empty())
           << Name << " should be consumed by serialize";
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Arities, SerializeArity,

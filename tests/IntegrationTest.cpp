@@ -42,7 +42,8 @@ TEST(IntegrationSl, OracleBoundsLearnedVersions) {
 
 TEST(IntegrationRl, FlappyAllVariantTrainsAndImproves) {
   FlappyEnv Env;
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
 
   // Feature extraction exactly as deployed: Algorithm 2 over a profile run.
   RlTrainOptions Opt;
@@ -65,7 +66,8 @@ TEST(IntegrationRl, FlappyAllVariantTrainsAndImproves) {
 
 TEST(IntegrationRl, EvalDoesNotPerturbTraining) {
   FlappyEnv Env;
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
   RlTrainOptions Opt;
   Opt.FeatureNames = {"birdY", "birdV", "pipeDx", "gap1Y", "diffY"};
   Opt.TrainSteps = 600;
@@ -80,7 +82,8 @@ TEST(IntegrationRl, EvalDoesNotPerturbTraining) {
 
 TEST(IntegrationRl, CheckpointRestoreDrivesEpisodes) {
   MarioEnv Env;
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
   RlTrainOptions Opt;
   Opt.FeatureNames = {"PX", "PY", "MnX", "OBJ", "objDx", "onGround"};
   Opt.TrainSteps = 1500;
@@ -96,7 +99,8 @@ TEST(IntegrationRl, CheckpointRestoreDrivesEpisodes) {
 
 TEST(IntegrationRl, RawVariantRunsWithCnn) {
   FlappyEnv Env;
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
   RlTrainOptions Opt;
   Opt.Variant = RlVariant::Raw;
   Opt.FrameSide = 16;
@@ -121,12 +125,14 @@ TEST(IntegrationRl, TrainedRlModelSurvivesSaveLoad) {
   Opt.TrainSteps = 800;
   Opt.Seed = 25;
   {
-    Runtime RT(Mode::TR, Dir);
+    Engine Eng(Dir);
+    Session RT(Eng, Mode::TR);
     trainRl(Env, RT, Opt);
     ASSERT_TRUE(RT.saveModel(rlModelName(Env, RlVariant::All)));
   }
   {
-    Runtime RT(Mode::TS, Dir);
+    Engine Eng(Dir);
+    Session RT(Eng, Mode::TS);
     ModelConfig C;
     C.Name = rlModelName(Env, RlVariant::All);
     C.Algo = Algorithm::QLearn;
@@ -146,7 +152,8 @@ TEST(IntegrationSelfTest, CoverageRewardFindsMoreBranches) {
   MarioEnv CovEnv;
   CovEnv.setCoverageReward(true);
   CovEnv.resetCoverage();
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
   RlTrainOptions Opt;
   Opt.FeatureNames = {"PX", "PY", "MnX", "OBJ", "objDx", "onGround"};
   Opt.TrainSteps = 2500;

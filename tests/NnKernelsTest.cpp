@@ -6,6 +6,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "HeapCounter.h"
 #include "nn/Gemm.h"
 #include "nn/Layers.h"
 #include "nn/Loss.h"
@@ -21,37 +22,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <numeric>
-
-//===----------------------------------------------------------------------===//
-// Global allocation counter: every heap allocation in this binary ticks it,
-// so a test can prove a region performs zero allocations (the workspace
-// arena's steady-state contract). Replacing the global operators is the only
-// way to observe allocations made inside the library.
-//===----------------------------------------------------------------------===//
-
-namespace {
-std::atomic<long> GHeapAllocs{0};
-} // namespace
-
-void *operator new(std::size_t Sz) {
-  GHeapAllocs.fetch_add(1, std::memory_order_relaxed);
-  if (void *P = std::malloc(Sz ? Sz : 1))
-    return P;
-  throw std::bad_alloc();
-}
-void *operator new[](std::size_t Sz) {
-  GHeapAllocs.fetch_add(1, std::memory_order_relaxed);
-  if (void *P = std::malloc(Sz ? Sz : 1))
-    return P;
-  throw std::bad_alloc();
-}
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
 
 using namespace au;
 using namespace au::nn;
@@ -419,6 +390,20 @@ TEST_F(NnKernelsTest, MaxPoolHandlesArbitrarilyNegativeInputs) {
 }
 
 //===----------------------------------------------------------------------===//
+// AU_NN_BACKEND parsing
+//===----------------------------------------------------------------------===//
+
+TEST_F(NnKernelsTest, BackendParserAcceptsOnlyEngineNames) {
+  EXPECT_EQ(parseBackend("simd"), Backend::Simd);
+  EXPECT_EQ(parseBackend("blocked"), Backend::Blocked);
+  EXPECT_EQ(parseBackend("naive"), Backend::Naive);
+  // Anything else, "gemm" included, is rejected; the env reader then
+  // warns and takes the default.
+  for (const char *Bad : {"gemm", "", "Simd", "simd ", "blocked2"})
+    EXPECT_EQ(parseBackend(Bad), std::nullopt) << '"' << Bad << '"';
+}
+
+//===----------------------------------------------------------------------===//
 // Cross-backend layer equivalence (naive vs blocked vs simd)
 //===----------------------------------------------------------------------===//
 
@@ -563,7 +548,7 @@ TEST_F(NnKernelsTest, SteadyStateForwardBatchDoesNotAllocate) {
     // Building the networks above must have ticked the counter — guards
     // against the replacement operators not being linked in, which would
     // make the zero-alloc assertion below pass vacuously.
-    ASSERT_GT(GHeapAllocs.load(std::memory_order_relaxed), 0);
+    ASSERT_GT(heapAllocs(), 0);
 
     // Warm-up: buffers converge on the workload's high-water mark.
     for (int I = 0; I < 3; ++I) {
@@ -573,14 +558,14 @@ TEST_F(NnKernelsTest, SteadyStateForwardBatchDoesNotAllocate) {
       Workspace::release(C);
     }
 
-    long Before = GHeapAllocs.load(std::memory_order_relaxed);
+    long Before = heapAllocs();
     for (int I = 0; I < 8; ++I) {
       Tensor A = Dnn.forwardBatch(DnnIn);
       Workspace::release(A);
       Tensor C = Cnn.forwardBatch(CnnIn);
       Workspace::release(C);
     }
-    long After = GHeapAllocs.load(std::memory_order_relaxed);
+    long After = heapAllocs();
     EXPECT_EQ(After, Before)
         << "steady-state forwardBatch allocated under backend "
         << backendName(B);

@@ -2,9 +2,10 @@
 //
 // Covers the parallel-rollout machinery of DESIGN.md §8: the sharded replay
 // ring, the K-actor training loop's bitwise determinism across thread
-// counts, and the batched greedy evaluator's equivalence with the serial
-// one. Each TEST runs as its own ctest process (gtest_discover_tests), so
-// replacing the global thread pool inside a test is safe.
+// counts and its lane-counter fold, and the batched greedy evaluator's
+// equivalence with the serial one. Each TEST runs as its own ctest process
+// (gtest_discover_tests), so replacing the global thread pool inside a test
+// is safe.
 //
 //===----------------------------------------------------------------------===//
 
@@ -148,10 +149,11 @@ ParallelRun runParallel(int NumActors) {
   Opt.QCfg.TrainInterval = NumActors; // One minibatch per lockstep tick.
   Opt.EvalEvery = 300;
   Opt.EvalEpisodes = 3;
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
   ParallelRun R;
-  R.Train = trainRlParallel(flappyFactory(), RT, Opt, NumActors);
-  R.Eval = evalRlBatched(flappyFactory(), RT, Opt, /*Episodes=*/3);
+  R.Train = trainRlParallel(flappyFactory(), Eng, RT, Opt, NumActors);
+  R.Eval = evalRlBatched(flappyFactory(), Eng, RT, Opt, /*Episodes=*/3);
   return R;
 }
 
@@ -193,8 +195,9 @@ TEST(RlParallel, TrainRunsBudgetAndFillsReplay) {
   ThreadPool::setGlobalThreads(4);
   RlTrainOptions Opt = smallOptions();
   Opt.QCfg.TrainInterval = 2;
-  Runtime RT(Mode::TR);
-  RlTrainResult Res = trainRlParallel(flappyFactory(), RT, Opt,
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
+  RlTrainResult Res = trainRlParallel(flappyFactory(), Eng, RT, Opt,
                                       /*NumActors=*/2);
   EXPECT_GE(Res.StepsRun, Opt.TrainSteps);
   EXPECT_GT(Res.Episodes, 0);
@@ -203,16 +206,44 @@ TEST(RlParallel, TrainRunsBudgetAndFillsReplay) {
   EXPECT_GT(Res.NumParams, 0u);
 }
 
+TEST(RlParallel, LaneCountersFoldIntoMainExactlyOnce) {
+  // The actors run in lane sessions whose primitive counters fold into
+  // Main when training ends. Each actor's au_NN of a tick either steps or
+  // ends an episode, so the fold adds exactly StepsRun + Episodes au_NN
+  // calls, one float per feature each, and one write-back per step.
+  ThreadPool::setGlobalThreads(2);
+  RlTrainOptions Opt = smallOptions();
+  Opt.QCfg.TrainInterval = 2;
+  Opt.EvalEvery = 0; // Evaluation lanes would fold their counters too.
+  const size_t Features = Opt.FeatureNames.size();
+  Engine Eng;
+  Session Main(Eng, Mode::TR);
+
+  size_t Nn = 0, Steps = 0;
+  for (int Call = 0; Call < 2; ++Call) {
+    RlTrainResult Res = trainRlParallel(flappyFactory(), Eng, Main, Opt,
+                                        /*NumActors=*/2);
+    size_t CallNn = static_cast<size_t>(Res.StepsRun + Res.Episodes);
+    Nn += CallNn;
+    Steps += static_cast<size_t>(Res.StepsRun);
+    EXPECT_EQ(Main.stats().NumNn, Nn) << "call " << Call;
+    EXPECT_EQ(Main.stats().FloatsExtracted, Nn * Features) << "call " << Call;
+    EXPECT_EQ(Main.stats().NumWriteBack, Steps) << "call " << Call;
+    EXPECT_EQ(Res.TraceBytes, CallNn * Features * sizeof(float));
+  }
+}
+
 TEST(RlParallel, BatchedEvalSingleEpisodeMatchesSerialEval) {
   // With one lane the batched evaluator degenerates to the serial schedule
   // (a 1-row batch), and it seeds episodes identically — scores must match
   // exactly on the same trained model.
   FlappyEnv Env;
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
   RlTrainOptions Opt = smallOptions();
   trainRl(Env, RT, Opt);
   RlEvalResult Serial = evalRl(Env, RT, Opt, /*Episodes=*/1);
-  RlEvalResult Batched = evalRlBatched(flappyFactory(), RT, Opt,
+  RlEvalResult Batched = evalRlBatched(flappyFactory(), Eng, RT, Opt,
                                        /*Episodes=*/1);
   EXPECT_EQ(Batched.MeanProgress, Serial.MeanProgress);
   EXPECT_EQ(Batched.SuccessRate, Serial.SuccessRate);
@@ -223,11 +254,12 @@ TEST(RlParallel, BatchedEvalMultiEpisodeMatchesSerialEval) {
   // but each lane still replays exactly the serial per-episode seed
   // schedule, so aggregate scores match the serial evaluator.
   FlappyEnv Env;
-  Runtime RT(Mode::TR);
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
   RlTrainOptions Opt = smallOptions();
   trainRl(Env, RT, Opt);
   RlEvalResult Serial = evalRl(Env, RT, Opt, /*Episodes=*/5);
-  RlEvalResult Batched = evalRlBatched(flappyFactory(), RT, Opt,
+  RlEvalResult Batched = evalRlBatched(flappyFactory(), Eng, RT, Opt,
                                        /*Episodes=*/5);
   EXPECT_EQ(Batched.MeanProgress, Serial.MeanProgress);
   EXPECT_EQ(Batched.SuccessRate, Serial.SuccessRate);

@@ -26,9 +26,9 @@ using namespace au::apps;
 //===----------------------------------------------------------------------===//
 
 namespace {
-ModelConfig cfg(const char *Name, Algorithm A = Algorithm::AdamOpt) {
+ModelConfig cfg(std::string Name, Algorithm A = Algorithm::AdamOpt) {
   ModelConfig C;
-  C.Name = Name;
+  C.Name = std::move(Name);
   C.Algo = A;
   C.HiddenLayers = {6};
   C.Seed = 11;
@@ -143,8 +143,9 @@ TEST(PhylipRobustness, AllGapColumnsExcludedGracefully) {
   std::vector<double> Dist = phylipDistances(D, P);
   for (int A = 0; A < 12; ++A)
     for (int B = 0; B < 12; ++B)
-      if (A != B)
+      if (A != B) {
         EXPECT_GT(Dist[A * 12 + B], 0.0);
+      }
 }
 
 //===----------------------------------------------------------------------===//

@@ -13,9 +13,9 @@ using namespace au;
 using namespace au::semantics;
 
 namespace {
-ConfigStmt config(const char *Name) {
+ConfigStmt config(std::string Name) {
   ConfigStmt C;
-  C.ModelName = Name;
+  C.ModelName = std::move(Name);
   C.Layers = {4, 3};
   return C;
 }
