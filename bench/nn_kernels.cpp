@@ -1,15 +1,15 @@
 //===- bench/nn_kernels.cpp - NN compute-engine micro-benchmarks ---------===//
 //
 // Measures the batched compute engines (blocked-scalar and AVX2/FMA simd)
-// against the scalar reference backend on the repo's real model shapes
-// (Canny Raw 32x32 frames, the RL harness 20x20 frames, and the dense
-// heads), plus an end-to-end supervised epoch. Prints one JSON line per
-// case:
+// against the scalar per-sample layer kernels (the test oracle, reported
+// as backend "naive") on the repo's real model shapes (Canny Raw 32x32
+// frames, the RL harness 20x20 frames, and the dense heads), plus an
+// end-to-end supervised epoch per engine. Prints one JSON line per case:
 //
 //   {"bench": "...", "backend": "...", "threads": N, "ns_per_iter": ...}
 //
-// followed by a speedup line per case, so the perf trajectory can be
-// tracked across PRs. The simd rows only appear when the CPU supports
+// followed, for the layer cases, by a speedup line over the scalar kernels,
+// so the perf trajectory can be tracked across changes. The simd rows only appear when the CPU supports
 // AVX2+FMA. Thread counts swept: 1 and 4 (plus AU_NN_THREADS if set to
 // something else).
 //
@@ -80,7 +80,8 @@ Tensor randomBatch(std::vector<int> Shape, Rng &Rand) {
   return T;
 }
 
-/// One fwd+bwd pass per sample through a layer, scalar reference path.
+/// One fwd+bwd pass per sample through a layer's scalar kernels (the
+/// oracle); independent of the active engine.
 template <typename L>
 double benchLayerNaive(L &Layer, const Tensor &In, const Tensor &GradOut) {
   int BN = In.dim(0);
@@ -129,7 +130,6 @@ void benchConvCase(const std::string &Name, int InC, int OutC, int K, int S,
   Tensor G = randomBatch({BN, OutC, convOutDim(H, K, S),
                           convOutDim(W, K, S)}, Rand);
   ThreadPool::setGlobalThreads(1);
-  setBackend(Backend::Naive);
   double Naive = benchLayerNaive(Conv, In, G);
   printCase(Name, "naive", 1, Naive);
   for (Backend B : batchedBackends()) {
@@ -176,7 +176,6 @@ void benchDenseCase(const std::string &Name, int InSz, int OutSz, int BN,
   Tensor In = randomBatch({BN, InSz}, Rand);
   Tensor G = randomBatch({BN, OutSz}, Rand);
   ThreadPool::setGlobalThreads(1);
-  setBackend(Backend::Naive);
   double Naive = benchLayerNaive(D, In, G);
   printCase(Name, "naive", 1, Naive);
   for (Backend B : batchedBackends()) {
@@ -209,13 +208,6 @@ void benchEndToEndEpoch(const std::vector<int> &ThreadsSet) {
     return Trainer;
   };
   const std::string Name = "canny_raw_epoch";
-  setBackend(Backend::Naive);
-  ThreadPool::setGlobalThreads(1);
-  SupervisedTrainer Trainer = MakeTrainer();
-  Rng TrainRand(5);
-  double Naive = timeNs([&] { Trainer.train(1, BatchSize, TrainRand); },
-                        1, 0.5);
-  printCase(Name, "naive", 1, Naive);
   for (Backend B : batchedBackends()) {
     setBackend(B);
     for (int T : ThreadsSet) {
@@ -225,7 +217,6 @@ void benchEndToEndEpoch(const std::vector<int> &ThreadsSet) {
       double Batched = timeNs([&] { Fast.train(1, BatchSize, FastRand); },
                               1, 0.5);
       printCase(Name, backendName(B), T, Batched);
-      printSpeedup(Name, backendName(B), T, Naive, Batched);
     }
   }
 }

@@ -78,8 +78,11 @@ struct BinFile {
     Ok = Ok && std::fread(&V, sizeof(V), 1, F) == 1;
     return V;
   }
-  std::vector<float> readFloatVec() {
+  /// Reads a length-prefixed float vector whose length must be \p Expected;
+  /// any other length fails before anything is allocated.
+  std::vector<float> readFloatVec(size_t Expected) {
     uint32_t N = readU32();
+    Ok = Ok && N == Expected;
     std::vector<float> V(Ok ? N : 0);
     if (Ok && N)
       Ok = std::fread(V.data(), sizeof(float), N, F) == N;
@@ -87,11 +90,14 @@ struct BinFile {
   }
   std::string readString() {
     uint32_t N = readU32();
+    Ok = Ok && N <= MaxNameBytes;
     std::string S(Ok ? N : 0, '\0');
     if (Ok && N)
       Ok = std::fread(S.data(), 1, N, F) == N;
     return S;
   }
+
+  static constexpr uint32_t MaxNameBytes = 1u << 16;
 };
 
 const uint32_t ModelMagic = 0x41554d44; // "AUMD"
@@ -127,8 +133,8 @@ bool readParams(BinFile &B, nn::Network &Net) {
   if (B.readU32() != Ps.size())
     return false;
   for (nn::ParamView &P : Ps) {
-    std::vector<float> V = B.readFloatVec();
-    if (!B.Ok || V.size() != P.Count)
+    std::vector<float> V = B.readFloatVec(P.Count);
+    if (!B.Ok)
       return false;
     std::memcpy(P.Values, V.data(), P.Count * sizeof(float));
   }
@@ -150,11 +156,67 @@ struct Header {
   std::vector<WriteBackSpec> Outs;
 };
 
+/// Upper bound on a model file's parameter count (64 MB of floats), far
+/// above every model this runtime trains; a header asking for more is
+/// rejected before any network is allocated.
+const int64_t MaxModelParams = int64_t{1} << 24;
+
+/// Parameters of a Dense stack from \p In through \p Hidden to \p Out,
+/// plus \p Extra; stops counting once the total passes MaxModelParams, so
+/// no size the header can hold overflows.
+int64_t denseParams(int64_t In, const std::vector<int> &Hidden, int64_t Out,
+                    int64_t Extra) {
+  int64_t Total = Extra, Prev = In;
+  for (size_t L = 0; L <= Hidden.size() && Total <= MaxModelParams; ++L) {
+    int64_t Next = L < Hidden.size() ? Hidden[L] : Out;
+    Total += Prev * Next + Next;
+    Prev = Next;
+  }
+  return Total;
+}
+
+/// Whether the sizes in \p H describe a network that makeNetwork can build
+/// and the file's other fields agree with: positive sizes, the outputs
+/// summing to the network output, CNN frame geometry matching the input,
+/// and a parameter count under MaxModelParams.
+bool headerConsistent(const Header &H) {
+  if (H.InSize <= 0 || H.ActionOrOutSize <= 0)
+    return false;
+  for (int W : H.Hidden)
+    if (W <= 0)
+      return false;
+  int64_t OutSum = 0;
+  for (const WriteBackSpec &O : H.Outs) {
+    if (O.Size <= 0)
+      return false;
+    OutSum += O.Size;
+  }
+  if (OutSum != H.ActionOrOutSize)
+    return false;
+  if (H.Type == ModelType::DNN)
+    return denseParams(H.InSize, H.Hidden, H.ActionOrOutSize, 0) <=
+           MaxModelParams;
+  // The CNN front end (nn::buildDeepMindCnn): two 3x3 conv + 2x2 pool
+  // stages, 8 then 16 channels, on a square side >= 12 divisible by 4.
+  if (H.FrameSide < 12 || H.FrameSide % 4 != 0 || H.FrameChannels <= 0)
+    return false;
+  int64_t Area = int64_t{H.FrameSide} * H.FrameSide; // No overflow: < 2^62.
+  if (Area > H.InSize || Area * H.FrameChannels != H.InSize)
+    return false;
+  int64_t S2 = ((H.FrameSide - 2) / 2 - 2) / 2;
+  int64_t ConvParams = int64_t{H.FrameChannels} * 8 * 9 + 8 + 8 * 16 * 9 + 16;
+  return denseParams(16 * S2 * S2, H.Hidden, H.ActionOrOutSize, ConvParams) <=
+         MaxModelParams;
+}
+
 bool readHeader(BinFile &B, Header &H) {
   if (B.readU32() != ModelMagic)
     return false;
   H.KindTag = B.readU32();
-  H.Type = B.readU32() == 0 ? ModelType::DNN : ModelType::CNN;
+  uint32_t TypeTag = B.readU32();
+  if (TypeTag > 1)
+    return false;
+  H.Type = TypeTag == 0 ? ModelType::DNN : ModelType::CNN;
   H.FrameSide = B.readI32();
   H.FrameChannels = B.readI32();
   H.InSize = B.readI32();
@@ -173,7 +235,7 @@ bool readHeader(BinFile &B, Header &H) {
     S.Size = B.readI32();
     H.Outs.push_back(std::move(S));
   }
-  return B.Ok;
+  return B.Ok && headerConsistent(H);
 }
 } // namespace
 
@@ -301,10 +363,12 @@ bool SlModel::load(const std::string &Path) {
   Trainer = std::make_unique<nn::SupervisedTrainer>(
       makeNetwork(InSize, H.ActionOrOutSize, Rand), Lr);
   bool Ok = readParams(B, Trainer->network());
-  std::vector<float> XM = B.readFloatVec();
-  std::vector<float> XS = B.readFloatVec();
-  std::vector<float> YM = B.readFloatVec();
-  std::vector<float> YS = B.readFloatVec();
+  size_t NX = static_cast<size_t>(InSize);
+  size_t NY = static_cast<size_t>(H.ActionOrOutSize);
+  std::vector<float> XM = B.readFloatVec(NX);
+  std::vector<float> XS = B.readFloatVec(NX);
+  std::vector<float> YM = B.readFloatVec(NY);
+  std::vector<float> YS = B.readFloatVec(NY);
   Ok = Ok && B.Ok;
   std::fclose(B.F);
   if (!Ok)
@@ -479,7 +543,9 @@ bool RlModel::load(const std::string &Path) {
   if (!B.F)
     return false;
   Header H;
-  bool HeaderOk = readHeader(B, H) && H.KindTag == 1 && H.Outs.size() == 1;
+  // One output: the action, whose size is the action count (> 1).
+  bool HeaderOk = readHeader(B, H) && H.KindTag == 1 &&
+                  H.Outs.size() == 1 && H.Outs.front().Size > 1;
   if (!HeaderOk) {
     std::fclose(B.F);
     return false;
@@ -491,8 +557,5 @@ bool RlModel::load(const std::string &Path) {
   build(H.InSize, H.Outs.front());
   bool Ok = readParams(B, Learner->onlineNetwork());
   std::fclose(B.F);
-  if (!Ok)
-    return false;
-  Learner->onlineNetwork();
-  return true;
+  return Ok;
 }

@@ -35,8 +35,6 @@ std::optional<Backend> au::nn::parseBackend(std::string_view Value) {
     return Backend::Simd;
   if (Value == "blocked")
     return Backend::Blocked;
-  if (Value == "naive")
-    return Backend::Naive;
   return std::nullopt;
 }
 
@@ -56,7 +54,7 @@ Backend readBackendFromEnv() {
       B = *Parsed;
     else
       std::fprintf(stderr,
-                   "AU_NN_BACKEND=%s is not one of simd|blocked|naive; "
+                   "AU_NN_BACKEND=%s is not one of simd|blocked; "
                    "using the default\n",
                    Env);
   }
@@ -107,16 +105,8 @@ const char *au::nn::backendName(Backend B) {
     return "simd";
   case Backend::Blocked:
     return "blocked";
-  case Backend::Naive:
-    return "naive";
   }
   return "unknown";
-}
-
-Backend au::nn::packEngine() {
-  // The naive backend keeps layers on their scalar per-sample paths; any
-  // explicit sgemm call it still issues runs the blocked kernel.
-  return ActiveBackend == Backend::Simd ? Backend::Simd : Backend::Blocked;
 }
 
 bool au::nn::simdKernelsActive() { return ActiveBackend == Backend::Simd; }
@@ -222,7 +212,7 @@ void au::nn::sgemm(bool TransA, bool TransB, int M, int N, int K, float Alpha,
     return;
   }
 
-  if (packEngine() == Backend::Simd) {
+  if (backend() == Backend::Simd) {
     float *AP = reserveScratch(PackABuf, simd::aPanelsSize(M, K));
     simd::packAPanels(A, Lda, TransA, M, K, AP);
     float *BP = reserveScratch(PackBBuf, simd::bPanelsSize(K, N));
@@ -258,7 +248,7 @@ void au::nn::sgemm(bool TransA, bool TransB, int M, int N, int K, float Alpha,
 
 void au::nn::ensurePackedA(PackedOperand &P, uint64_t Gen, bool TransA, int M,
                            int K, const float *A, int Lda) {
-  Backend Engine = packEngine();
+  Backend Engine = backend();
   if (P.fresh(Engine, Gen) && P.Rows == M && P.Cols == K)
     return;
   P.Rows = M;
@@ -287,7 +277,7 @@ void au::nn::ensurePackedA(PackedOperand &P, uint64_t Gen, bool TransA, int M,
 
 void au::nn::ensurePackedB(PackedOperand &P, uint64_t Gen, bool TransB, int K,
                            int N, const float *B, int Ldb) {
-  Backend Engine = packEngine();
+  Backend Engine = backend();
   if (P.fresh(Engine, Gen) && P.Rows == K && P.Cols == N)
     return;
   P.Rows = K;
@@ -316,7 +306,7 @@ void au::nn::ensurePackedB(PackedOperand &P, uint64_t Gen, bool TransB, int K,
 void au::nn::sgemmPackedA(const PackedOperand &PA, bool TransB, int M, int N,
                           int K, float Alpha, const float *B, int Ldb,
                           float Beta, float *C, int Ldc) {
-  assert(PA.Present && PA.For == packEngine() && "stale packed operand");
+  assert(PA.Present && PA.For == backend() && "stale packed operand");
   assert(PA.Rows == M && PA.Cols == K && "packed operand extent mismatch");
   if (M == 0 || N == 0)
     return;
@@ -344,7 +334,7 @@ void au::nn::sgemmPackedA(const PackedOperand &PA, bool TransB, int M, int N,
 void au::nn::sgemmPackedB(bool TransA, const PackedOperand &PB, int M, int N,
                           int K, float Alpha, const float *A, int Lda,
                           float Beta, float *C, int Ldc) {
-  assert(PB.Present && PB.For == packEngine() && "stale packed operand");
+  assert(PB.Present && PB.For == backend() && "stale packed operand");
   assert(PB.Rows == K && PB.Cols == N && "packed operand extent mismatch");
   if (M == 0 || N == 0)
     return;

@@ -12,14 +12,18 @@
 /// of blocking, tiling, or thread count, so results are bitwise reproducible
 /// at any AU_NN_THREADS within one backend.
 ///
-/// Three engines are selectable at runtime via AU_NN_BACKEND:
+/// Two engines are selectable at runtime via AU_NN_BACKEND:
 ///
 ///  * simd    — AVX2/FMA 6x16 register-tile micro-kernel over panel-packed
 ///              operands (the default when the CPU supports AVX2 and FMA).
 ///  * blocked — the portable blocked-scalar kernel; also the fallback on
-///              CPUs without AVX2/FMA.
-///  * naive   — the original scalar per-sample layer kernels, kept as the
-///              reference implementation for differential testing.
+///              CPUs without AVX2/FMA, and the reference rounding the simd
+///              tests compare against.
+///
+/// Both engines serve the batched layer paths (forwardBatch/backwardBatch),
+/// the only path the trainers and the runtime run. The scalar per-sample
+/// Layer::forward/backward kernels are not an engine: they are the oracle
+/// the tests check both engines against (see nn/Layer.h).
 ///
 /// Weight matrices can be pre-packed once into the active engine's fast
 /// layout and cached on the layer (a PackedOperand), invalidated by the
@@ -39,25 +43,23 @@
 namespace au {
 namespace nn {
 
-/// Which compute engine the trainers and batched layer paths use.
+/// Which compute engine the batched layer paths use.
 enum class Backend {
-  Simd,    ///< AVX2/FMA micro-kernel engine (default where supported).
-  Blocked, ///< Portable blocked-scalar GEMM/im2col engine.
-  Naive    ///< Original scalar per-sample reference kernels.
+  Simd,   ///< AVX2/FMA micro-kernel engine (default where supported).
+  Blocked ///< Portable blocked-scalar GEMM/im2col engine.
 };
 
 /// Whether this process can run the simd engine (compiled for x86 and the
 /// CPU reports AVX2 + FMA).
 bool simdSupported();
 
-/// The active backend: AU_NN_BACKEND=simd|blocked|naive on first query,
+/// The active backend: AU_NN_BACKEND=simd|blocked on first query,
 /// unless overridden by setBackend(). Defaults to simd when supported, else
 /// blocked; any other non-empty value prints one line to stderr and takes
 /// the default.
 Backend backend();
 
-/// Parses an AU_NN_BACKEND value: "simd", "blocked" or "naive", else
-/// nullopt.
+/// Parses an AU_NN_BACKEND value: "simd" or "blocked", else nullopt.
 std::optional<Backend> parseBackend(std::string_view Value);
 
 /// Overrides the active backend (tests and benchmarks). Requesting simd on
@@ -92,19 +94,15 @@ void sgemm(bool TransA, bool TransB, int M, int N, int K, float Alpha,
 struct PackedOperand {
   std::vector<float> Data;
   int Rows = 0, Cols = 0;            ///< Logical op(X) extents.
-  Backend For = Backend::Naive;      ///< Engine the layout was packed for.
+  Backend For = Backend::Blocked;    ///< Engine the layout was packed for.
   uint64_t Gen = 0;                  ///< Parameter generation when packed.
-  bool Present = false;
+  bool Present = false;              ///< False until the first pack.
 
   /// True when the cache can serve the active engine at generation \p G.
   bool fresh(Backend Engine, uint64_t G) const {
     return Present && For == Engine && Gen == G;
   }
 };
-
-/// The engine whose data layout sgemm actually runs under the current
-/// backend (naive still routes explicit sgemm calls through blocked).
-Backend packEngine();
 
 /// Ensures \p P holds op(A) = M x K (stored \p A with row stride \p Lda,
 /// transposed per \p TransA) packed for the active engine at parameter

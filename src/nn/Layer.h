@@ -6,13 +6,15 @@
 ///
 /// \file
 /// The layer abstraction for the NN substrate. Every layer supports two
-/// execution styles: the original scalar path (forward/backward on one
-/// sample, kept as the AU_NN_BACKEND=naive reference engine) and the batched
-/// path (forwardBatch/backwardBatch over rank-(N+1) tensors whose leading
-/// dimension is the minibatch), which the GEMM/im2col compute engine uses so
-/// a whole minibatch flows through the network in one call. A layer owns its
-/// parameters and the gradient accumulators that the optimizers consume;
-/// both styles accumulate into the same gradient buffers.
+/// execution styles. The batched path (forwardBatch/backwardBatch over
+/// rank-(N+1) tensors whose leading dimension is the minibatch) is the one
+/// the trainers and the runtime run: the GEMM/im2col compute engine moves a
+/// whole minibatch through the network in one call. The scalar path
+/// (forward/backward on one sample, plain loops with no GEMM) is the
+/// per-sample reference that the tests compare both engines against; the
+/// library itself never calls it. A layer owns its parameters and the
+/// gradient accumulators that the optimizers consume; both styles
+/// accumulate into the same gradient buffers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,6 +46,7 @@ public:
   virtual ~Layer();
 
   /// Computes the layer output for \p In, caching activations for backward.
+  /// Scalar test oracle for forwardBatch.
   virtual Tensor forward(const Tensor &In) = 0;
 
   /// Given dLoss/dOut, accumulates parameter gradients and returns

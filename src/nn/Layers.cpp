@@ -258,7 +258,7 @@ Tensor Conv2D::forwardBatch(const Tensor &Input) {
   const float *InD = Input.data();
   float *OutD = OutT.data();
   size_t PlaneSz = static_cast<size_t>(OH) * OW;
-  const bool Simd = packEngine() == Backend::Simd;
+  const bool Simd = backend() == Backend::Simd;
   // Pack the filter matrix once (on this thread, before the parallel
   // region); every per-sample GEMM then consumes the cached panels.
   ensurePackedA(PackedW, paramGen(), /*TransA=*/false, OutC, CKK, W.data(),

@@ -37,7 +37,8 @@ public:
   /// Appends a layer; returns *this for chaining.
   Network &add(std::unique_ptr<Layer> L);
 
-  /// Runs the forward pass on one sample.
+  /// Runs the scalar forward pass on one sample: the per-sample reference
+  /// the tests check forwardBatch against (nn/Layer.h).
   Tensor forward(const Tensor &In);
 
   /// Runs the backward pass; must follow forward() on the same sample.

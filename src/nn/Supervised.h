@@ -45,20 +45,16 @@ public:
 
   /// Trains for \p Epochs passes with the given minibatch size, shuffling
   /// with \p Rand each epoch. Returns the final epoch's mean loss
-  /// (normalized space). No-op (returns 0) on an empty dataset. Under the
-  /// batched engine, minibatch extraction (normalize + pack) is double
-  /// buffered: a pool worker prepares batch N+1 while batch N trains, with
-  /// bitwise-identical results to the serial schedule.
+  /// (normalized space). No-op (returns 0) on an empty dataset. Each
+  /// minibatch runs as one forwardBatch/backwardBatch, and minibatch
+  /// extraction (normalize + pack) is double buffered: a pool worker
+  /// prepares batch N+1 while batch N trains, with bitwise-identical results
+  /// to the serial schedule.
   double train(int Epochs, int BatchSize, Rng &Rand);
 
-  /// Predicts the de-normalized target values for raw features \p X.
+  /// Predicts the de-normalized target values for raw features \p X (a
+  /// one-row predictRowsInto).
   std::vector<float> predict(const std::vector<float> &X);
-
-  /// Predicts for many feature vectors in one batched network call (the
-  /// high-throughput serving entry point). Equivalent to calling predict()
-  /// per row.
-  std::vector<std::vector<float>>
-  predictBatch(const std::vector<std::vector<float>> &Xs);
 
   /// Raw-buffer batched inference: \p Xs holds \p Rows feature vectors back
   /// to back (Rows x inputSize, row-major); \p Out is resized to Rows x
@@ -85,7 +81,6 @@ public:
 
 private:
   void computeNormalization();
-  Tensor normalizeX(const std::vector<float> &X) const;
 
   Network Net;
   Adam Opt;

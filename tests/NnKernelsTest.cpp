@@ -1,8 +1,8 @@
 //===- tests/NnKernelsTest.cpp - Batched compute engine tests ------------===//
 //
-// Differential tests pinning the GEMM/im2col batched engine to the scalar
-// reference backend (AU_NN_BACKEND=naive), plus determinism-under-threading
-// and ThreadPool unit tests.
+// Differential tests pinning the GEMM/im2col batched engines (blocked and
+// simd) to the scalar per-sample layer kernels, which serve as the oracle,
+// plus determinism-under-threading and ThreadPool unit tests.
 //
 //===----------------------------------------------------------------------===//
 
@@ -283,51 +283,114 @@ TEST_F(NnKernelsTest, CnnForwardBatchMatchesScalarForward) {
 // Backend equivalence through the trainer
 //===----------------------------------------------------------------------===//
 
-TEST_F(NnKernelsTest, TrainerBackendsConverge) {
-  // Train the same model+data under both backends; losses and predictions
-  // must agree to within accumulated float-reassociation noise.
-  auto Run = [](Backend B) {
-    setBackend(B);
-    Rng NetRand(21);
-    SupervisedTrainer Trainer(buildDnn(4, {16, 8}, 2, NetRand), 1e-2);
-    Rng DataRand(5);
-    for (int I = 0; I < 50; ++I) {
-      float A = static_cast<float>(DataRand.uniform(-1, 1));
-      float C = static_cast<float>(DataRand.uniform(-1, 1));
-      Trainer.addSample({A, C, A * C, A - C}, {A + C, A * C});
-    }
-    Rng TrainRand(9);
-    double Loss = Trainer.train(8, 16, TrainRand);
-    std::vector<float> Pred = Trainer.predict({0.3f, -0.2f, 0.1f, 0.5f});
-    return std::make_pair(Loss, Pred);
-  };
-  auto [BlockedLoss, BlockedPred] = Run(Backend::Blocked);
-  auto [NaiveLoss, NaivePred] = Run(Backend::Naive);
-  EXPECT_NEAR(BlockedLoss, NaiveLoss, 1e-3);
-  expectClose(BlockedPred, NaivePred, "trainer predictions");
-  if (simdSupported()) {
-    auto [SimdLoss, SimdPred] = Run(Backend::Simd);
-    EXPECT_NEAR(SimdLoss, NaiveLoss, 1e-3);
-    expectClose(SimdPred, NaivePred, "trainer predictions (simd)");
-  }
-  // And batched serving agrees with scalar serving.
-  setBackend(Backend::Blocked);
-  Rng NetRand(21);
-  SupervisedTrainer Trainer(buildDnn(4, {16, 8}, 2, NetRand), 1e-2);
+namespace {
+
+/// The trainer test's dataset: 50 samples of a 4 -> 2 regression.
+std::vector<Sample> trainerDataset() {
   Rng DataRand(5);
+  std::vector<Sample> Data;
   for (int I = 0; I < 50; ++I) {
     float A = static_cast<float>(DataRand.uniform(-1, 1));
     float C = static_cast<float>(DataRand.uniform(-1, 1));
-    Trainer.addSample({A, C, A * C, A - C}, {A + C, A * C});
+    Data.push_back({{A, C, A * C, A - C}, {A + C, A * C}});
   }
+  return Data;
+}
+
+/// (V - Mean) / Std per element, as SupervisedTrainer normalizes.
+Tensor normalized(const std::vector<float> &V, const std::vector<float> &Mean,
+                  const std::vector<float> &Std) {
+  Tensor T(std::vector<int>{static_cast<int>(V.size())});
+  for (size_t I = 0; I != V.size(); ++I)
+    T[I] = (V[I] - Mean[I]) / Std[I];
+  return T;
+}
+
+} // namespace
+
+TEST_F(NnKernelsTest, TrainerBackendsConverge) {
+  // Train the same model+data with the batched trainer under each engine
+  // and with a per-sample reference; losses and predictions must agree to
+  // within accumulated float-reassociation noise.
+  const int Epochs = 8, BatchSize = 16;
+  const std::vector<float> Probe = {0.3f, -0.2f, 0.1f, 0.5f};
+  auto Run = [&](Backend B) {
+    setBackend(B);
+    Rng NetRand(21);
+    SupervisedTrainer Trainer(buildDnn(4, {16, 8}, 2, NetRand), 1e-2);
+    for (Sample &S : trainerDataset())
+      Trainer.addSample(std::move(S.X), std::move(S.Y));
+    Rng TrainRand(9);
+    double Loss = Trainer.train(Epochs, BatchSize, TrainRand);
+    return std::make_pair(Loss, Trainer.predict(Probe));
+  };
+
+  // The reference: SupervisedTrainer::train's shuffle and batch boundaries,
+  // one scalar Network::forward/backward per sample, scalar Adam.
+  setBackend(Backend::Blocked);
+  std::vector<Sample> Data = trainerDataset();
+  std::vector<float> XM, XS, YM, YS;
+  {
+    Rng StatsRand(1); // Only the dataset statistics of this trainer are used.
+    SupervisedTrainer Stats(buildDnn(4, {2}, 2, StatsRand));
+    for (const Sample &S : Data)
+      Stats.addSample(S.X, S.Y);
+    Stats.getNormalization(XM, XS, YM, YS);
+  }
+  Rng NetRand(21);
+  Network Net = buildDnn(4, {16, 8}, 2, NetRand);
+  Adam Opt(Net, 1e-2);
+  std::vector<size_t> Order(Data.size());
+  std::iota(Order.begin(), Order.end(), size_t{0});
   Rng TrainRand(9);
-  Trainer.train(5, 16, TrainRand);
-  std::vector<std::vector<float>> Xs = {{0.3f, -0.2f, 0.1f, 0.5f},
-                                        {-0.9f, 0.4f, -0.36f, -1.3f}};
-  auto Batch = Trainer.predictBatch(Xs);
-  ASSERT_EQ(Batch.size(), 2u);
-  expectClose(Batch[0], Trainer.predict(Xs[0]), "predictBatch[0]");
-  expectClose(Batch[1], Trainer.predict(Xs[1]), "predictBatch[1]");
+  double RefLoss = 0.0;
+  for (int Ep = 0; Ep < Epochs; ++Ep) {
+    for (size_t I = Order.size(); I > 1; --I)
+      std::swap(Order[I - 1], Order[TrainRand.uniformInt(I)]);
+    RefLoss = 0.0;
+    for (size_t Start = 0; Start < Order.size(); Start += BatchSize) {
+      size_t End = std::min(Order.size(), Start + BatchSize);
+      for (size_t Pos = Start; Pos != End; ++Pos) {
+        const Sample &S = Data[Order[Pos]];
+        Tensor Grad;
+        RefLoss += mseLoss(Net.forward(normalized(S.X, XM, XS)),
+                           normalized(S.Y, YM, YS), Grad);
+        Net.backward(Grad);
+      }
+      Opt.step(1.0 / static_cast<double>(End - Start));
+    }
+    RefLoss /= static_cast<double>(Data.size());
+  }
+  Tensor RefOut = Net.forward(normalized(Probe, XM, XS));
+  std::vector<float> RefPred(RefOut.size());
+  for (size_t I = 0; I != RefPred.size(); ++I)
+    RefPred[I] = RefOut[I] * YS[I] + YM[I];
+
+  auto [BlockedLoss, BlockedPred] = Run(Backend::Blocked);
+  EXPECT_NEAR(BlockedLoss, RefLoss, 1e-3);
+  expectClose(BlockedPred, RefPred, "trainer predictions");
+  if (simdSupported()) {
+    auto [SimdLoss, SimdPred] = Run(Backend::Simd);
+    EXPECT_NEAR(SimdLoss, RefLoss, 1e-3);
+    expectClose(SimdPred, RefPred, "trainer predictions (simd)");
+  }
+
+  // And a multi-row predictRowsInto agrees with one predict per row.
+  setBackend(Backend::Blocked);
+  Rng ServeNetRand(21);
+  SupervisedTrainer Trainer(buildDnn(4, {16, 8}, 2, ServeNetRand), 1e-2);
+  for (Sample &S : trainerDataset())
+    Trainer.addSample(std::move(S.X), std::move(S.Y));
+  Rng ServeRand(9);
+  Trainer.train(5, 16, ServeRand);
+  const float Rows[] = {0.3f, -0.2f, 0.1f, 0.5f, -0.9f, 0.4f, -0.36f, -1.3f};
+  std::vector<float> Both;
+  Trainer.predictRowsInto(Rows, 2, Both);
+  ASSERT_EQ(Both.size(), 4u);
+  expectClose({Both[0], Both[1]}, Trainer.predict({Rows, Rows + 4}),
+              "predictRowsInto row 0");
+  expectClose({Both[2], Both[3]}, Trainer.predict({Rows + 4, Rows + 8}),
+              "predictRowsInto row 1");
 }
 
 //===----------------------------------------------------------------------===//
@@ -396,23 +459,21 @@ TEST_F(NnKernelsTest, MaxPoolHandlesArbitrarilyNegativeInputs) {
 TEST_F(NnKernelsTest, BackendParserAcceptsOnlyEngineNames) {
   EXPECT_EQ(parseBackend("simd"), Backend::Simd);
   EXPECT_EQ(parseBackend("blocked"), Backend::Blocked);
-  EXPECT_EQ(parseBackend("naive"), Backend::Naive);
-  // Anything else, "gemm" included, is rejected; the env reader then
-  // warns and takes the default.
-  for (const char *Bad : {"gemm", "", "Simd", "simd ", "blocked2"})
+  // Anything else, the retired "naive" and "gemm" included, is rejected;
+  // the env reader then warns and takes the default.
+  for (const char *Bad : {"naive", "gemm", "", "Simd", "simd ", "blocked2"})
     EXPECT_EQ(parseBackend(Bad), std::nullopt) << '"' << Bad << '"';
 }
 
 //===----------------------------------------------------------------------===//
-// Cross-backend layer equivalence (naive vs blocked vs simd)
+// Cross-backend layer equivalence (blocked and simd vs the scalar oracle)
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// The engines worth comparing pairwise: the two batched ones, and simd
-/// only where the CPU can run it.
+/// The engines to check: blocked, and simd only where the CPU can run it.
 std::vector<Backend> comparableBackends() {
-  std::vector<Backend> Bs = {Backend::Naive, Backend::Blocked};
+  std::vector<Backend> Bs = {Backend::Blocked};
   if (simdSupported())
     Bs.push_back(Backend::Simd);
   return Bs;
@@ -447,10 +508,36 @@ TEST_F(NnKernelsTest, LayersEquivalentAcrossBackends) {
     return Out;
   };
 
-  Result Ref = Run(Backend::Naive);
+  // The reference: the scalar forward/backward over each batch row, with
+  // the parameter gradients accumulated across rows.
+  auto PerSample = [](Layer &L, const Tensor &In, const Tensor &GradOut,
+                      std::vector<float> &Out, std::vector<float> &GradIn) {
+    std::vector<int> InShape = In.sampleShape();
+    std::vector<int> OutShape = GradOut.sampleShape();
+    for (int B = 0; B < In.dim(0); ++B) {
+      Tensor X(InShape);
+      std::copy(In.sampleData(B), In.sampleData(B) + X.size(), X.data());
+      Tensor Y = L.forward(X);
+      Out.insert(Out.end(), Y.data(), Y.data() + Y.size());
+      Tensor G(OutShape);
+      std::copy(GradOut.sampleData(B), GradOut.sampleData(B) + G.size(),
+                G.data());
+      Tensor GI = L.backward(G);
+      GradIn.insert(GradIn.end(), GI.data(), GI.data() + GI.size());
+    }
+  };
+  Result Ref;
+  {
+    Rng R1(17), R2(17);
+    Dense D(7, 5, R1);
+    Conv2D C(3, 4, 3, 1, R2);
+    PerSample(D, DenseIn, DenseGrad, Ref.DenseOut, Ref.DenseGradIn);
+    Ref.DenseGrads = gradSnapshot(D);
+    PerSample(C, ConvIn, ConvGrad, Ref.ConvOut, Ref.ConvGradIn);
+    Ref.ConvGrads = gradSnapshot(C);
+  }
+
   for (Backend B : comparableBackends()) {
-    if (B == Backend::Naive)
-      continue;
     Result Got = Run(B);
     expectClose(Got.DenseOut, Ref.DenseOut, "dense forward x-backend");
     expectClose(Got.DenseGradIn, Ref.DenseGradIn, "dense grad-in x-backend");
@@ -467,8 +554,6 @@ TEST_F(NnKernelsTest, LayersEquivalentAcrossBackends) {
 
 TEST_F(NnKernelsTest, PackedWeightsInvalidateAfterOptimizerStep) {
   for (Backend B : comparableBackends()) {
-    if (B == Backend::Naive)
-      continue; // Naive has no packed caches.
     setBackend(B);
     Rng R(29);
     Network Net = buildDnn(6, {8}, 3, R);
@@ -498,8 +583,6 @@ TEST_F(NnKernelsTest, PackedWeightsInvalidateAfterOptimizerStep) {
 
 TEST_F(NnKernelsTest, PackedWeightsInvalidateAfterParamLoad) {
   for (Backend B : comparableBackends()) {
-    if (B == Backend::Naive)
-      continue;
     setBackend(B);
     Rng R(31);
     Network Net = buildDnn(5, {6}, 2, R);
@@ -535,8 +618,6 @@ TEST_F(NnKernelsTest, PackedWeightsInvalidateAfterParamLoad) {
 TEST_F(NnKernelsTest, SteadyStateForwardBatchDoesNotAllocate) {
   ThreadPool::setGlobalThreads(1); // Allocation counting needs one thread.
   for (Backend B : comparableBackends()) {
-    if (B == Backend::Naive)
-      continue; // The reference engine makes no zero-alloc promise.
     setBackend(B);
     Rng R(41);
     Network Dnn = buildDnn(12, {16, 16}, 4, R);

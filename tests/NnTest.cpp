@@ -1,5 +1,6 @@
 //===- tests/NnTest.cpp - Unit tests for the NN substrate ----------------===//
 
+#include "nn/Gemm.h"
 #include "nn/Layers.h"
 #include "nn/Loss.h"
 #include "nn/Network.h"
@@ -492,4 +493,97 @@ TEST(QLearnerTest, ReplayCapacityBounded) {
   for (int I = 0; I < 200; ++I)
     Q.observe(S, 0, 0.0f, S, false);
   EXPECT_EQ(Q.replaySize(), 50u);
+}
+
+TEST(QLearnerTest, BatchedReplayUpdateMatchesPerSampleReference) {
+  // The batched trainStep against a per-sample DQN update: the same
+  // minibatch draws, per-sample Huber-at-action gradients through the
+  // scalar Network::forward/backward, Adam, and target syncs on the same
+  // schedule. Only observe() is called, so the learner's Rand(Seed) feeds
+  // minibatch draws alone and the reference can replay them over a replay
+  // that never wraps (index I is the I-th observed transition).
+  QConfig Cfg;
+  Cfg.LearningRate = 1e-2;
+  Cfg.Gamma = 0.9;
+  Cfg.BatchSize = 8;
+  Cfg.WarmupSteps = 8;
+  Cfg.TargetSyncInterval = 5;
+  Cfg.ReplayCapacity = 64;
+  const int Steps = 20, Dim = 3, Actions = 3;
+  const uint64_t Seed = 71;
+  auto MakeNet = [] {
+    Rng R(72);
+    return buildDnn(Dim, {8}, Actions, R);
+  };
+
+  struct Step {
+    std::vector<float> State, Next;
+    int Action;
+    float Reward;
+    bool Terminal;
+  };
+  std::vector<Step> Data;
+  Rng DataRand(73);
+  auto RandomState = [&] {
+    std::vector<float> V(Dim);
+    for (float &X : V)
+      X = static_cast<float>(DataRand.uniform(-1, 1));
+    return V;
+  };
+  for (int I = 0; I < Steps; ++I)
+    Data.push_back({RandomState(), RandomState(), I % Actions,
+                    static_cast<float>(DataRand.uniform(-2, 2)),
+                    I % 4 == 3});
+
+  std::vector<Backend> Engines = {Backend::Blocked};
+  if (simdSupported())
+    Engines.push_back(Backend::Simd);
+  for (Backend B : Engines) {
+    setBackend(B);
+    QLearner Q(MakeNet, Actions, Cfg, Seed);
+    for (const Step &T : Data)
+      Q.observe(T.State, T.Action, T.Reward, T.Next, T.Terminal);
+
+    Network Online = MakeNet(), Target = MakeNet();
+    Target.copyParamsFrom(Online);
+    Adam Opt(Online, Cfg.LearningRate);
+    Rng Rand(Seed);
+    long TrainSteps = 0, Syncs = 0;
+    for (long S = 1; S <= Steps; ++S) {
+      if (S >= Cfg.WarmupSteps && S % Cfg.TrainInterval == 0 &&
+          S >= Cfg.BatchSize) {
+        Online.zeroGrads();
+        for (int Row = 0; Row < Cfg.BatchSize; ++Row) {
+          const Step &T = Data[Rand.uniformInt(static_cast<uint64_t>(S))];
+          float Y = T.Reward;
+          if (!T.Terminal)
+            Y += static_cast<float>(Cfg.Gamma) *
+                 Target.forward(Tensor::fromVector(T.Next)).maxValue();
+          Tensor Grad;
+          huberLossAt(Online.forward(Tensor::fromVector(T.State)),
+                      static_cast<size_t>(T.Action), Y, Grad);
+          Online.backward(Grad);
+        }
+        Opt.step(1.0 / Cfg.BatchSize);
+        ++TrainSteps;
+      }
+      if (S % Cfg.TargetSyncInterval == 0) {
+        Target.copyParamsFrom(Online);
+        ++Syncs;
+      }
+    }
+    ASSERT_GE(TrainSteps, 3);
+    ASSERT_GE(Syncs, 1);
+    EXPECT_EQ(Q.trainStepsRun(), TrainSteps);
+
+    for (const Step &T : Data) {
+      std::vector<float> Got = Q.qValues(T.State);
+      Tensor Want = Online.forward(Tensor::fromVector(T.State));
+      ASSERT_EQ(Got.size(), Want.size());
+      for (size_t A = 0; A != Got.size(); ++A)
+        EXPECT_NEAR(Got[A], Want[A], 1e-4)
+            << backendName(B) << " action " << A;
+    }
+  }
+  setBackend(defaultBackend());
 }

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 
 using namespace au;
@@ -35,8 +36,10 @@ ModelConfig cfg(std::string Name, Algorithm A = Algorithm::AdamOpt) {
   return C;
 }
 
-/// Writes a trained SL model and returns its path.
-std::string writeTrainedModel() {
+/// Writes a trained 1 -> 6 -> 1 SL model to \p File in the test temp
+/// directory and returns its path. Each test names its own file, so tests
+/// running in parallel never rewrite each other's model.
+std::string writeTrainedModel(const std::string &File) {
   SlModel M(cfg("m"));
   Rng R(12);
   for (int I = 0; I < 30; ++I) {
@@ -44,14 +47,43 @@ std::string writeTrainedModel() {
     M.addSample({X}, {X}, {{"Y", 1}});
   }
   M.train(5, 8);
-  std::string Path = "/tmp/au_robust.aumodel";
+  std::string Path = ::testing::TempDir() + File;
   EXPECT_TRUE(M.save(Path));
   return Path;
+}
+
+/// Overwrites the 4 bytes at \p Offset of the file at \p Path with \p V.
+void patchI32(const std::string &Path, long Offset, int32_t V) {
+  std::FILE *F = std::fopen(Path.c_str(), "r+b");
+  ASSERT_TRUE(F);
+  ASSERT_EQ(std::fseek(F, Offset, SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(&V, sizeof(V), 1, F), 1u);
+  std::fclose(F);
+}
+
+/// Byte offsets of the header fields of the model writeTrainedModel saves
+/// (u32 magic, kind, type; i32 frame side, channels, input size; u32 hidden
+/// count; i32 width; i32 output size; u32 output count; the output spec
+/// "Y": u32 name length, one byte of name, i32 size).
+constexpr long TypeOffset = 8, InSizeOffset = 20, HiddenWidthOffset = 28,
+               OutSpecSizeOffset = 45;
+
+/// Patches one header field of a freshly saved model and expects the load
+/// to fail, and to fail fast: the size checks run before any allocation.
+void expectPatchedModelRejected(const std::string &File, long Offset,
+                                int32_t V) {
+  std::string Path = writeTrainedModel(File);
+  patchI32(Path, Offset, V);
+  SlModel M(cfg("m"));
+  auto Start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(M.load(Path));
+  EXPECT_LT(std::chrono::steady_clock::now() - Start, std::chrono::seconds(2));
+  std::remove(Path.c_str());
 }
 } // namespace
 
 TEST(PersistenceRobustness, TruncatedFileRejected) {
-  std::string Path = writeTrainedModel();
+  std::string Path = writeTrainedModel("au_robust_truncated.aumodel");
   // Truncate to a prefix that still contains a valid magic.
   std::FILE *F = std::fopen(Path.c_str(), "rb");
   ASSERT_TRUE(F);
@@ -68,8 +100,49 @@ TEST(PersistenceRobustness, TruncatedFileRejected) {
 }
 
 TEST(PersistenceRobustness, WrongKindRejected) {
-  std::string Path = writeTrainedModel(); // Supervised on disk.
+  std::string Path = writeTrainedModel("au_robust_kind.aumodel");
+  // Supervised on disk.
   RlModel M(cfg("m", Algorithm::QLearn));
+  EXPECT_FALSE(M.load(Path));
+  std::remove(Path.c_str());
+}
+
+TEST(PersistenceRobustness, NegativeInputSizeRejected) {
+  expectPatchedModelRejected("au_robust_in.aumodel", InSizeOffset, -1);
+}
+
+TEST(PersistenceRobustness, NegativeHiddenWidthRejected) {
+  expectPatchedModelRejected("au_robust_neg_width.aumodel", HiddenWidthOffset,
+                             -3);
+}
+
+TEST(PersistenceRobustness, HugeHiddenWidthRejected) {
+  // 2e9 hidden units: ~6e9 parameters, over the cap long before allocating.
+  expectPatchedModelRejected("au_robust_huge_width.aumodel",
+                             HiddenWidthOffset, 2000000000);
+}
+
+TEST(PersistenceRobustness, OutputSpecWiderThanNetworkRejected) {
+  // Declares 5 output values for the 1-output network.
+  expectPatchedModelRejected("au_robust_out.aumodel", OutSpecSizeOffset, 5);
+}
+
+TEST(PersistenceRobustness, CnnGeometryMismatchRejected) {
+  // Retags the DNN as a CNN: its frame side 0 cannot cover the 1 input.
+  expectPatchedModelRejected("au_robust_cnn.aumodel", TypeOffset, 1);
+}
+
+TEST(PersistenceRobustness, NormalizationLengthMismatchRejected) {
+  // The file ends with four normalization vectors of one float each (u32
+  // length + f32); the last one, the output scale, then claims 0 values.
+  std::string Path = writeTrainedModel("au_robust_norm.aumodel");
+  std::FILE *F = std::fopen(Path.c_str(), "rb");
+  ASSERT_TRUE(F);
+  std::fseek(F, 0, SEEK_END);
+  long Size = std::ftell(F);
+  std::fclose(F);
+  patchI32(Path, Size - 8, 0);
+  SlModel M(cfg("m"));
   EXPECT_FALSE(M.load(Path));
   std::remove(Path.c_str());
 }
