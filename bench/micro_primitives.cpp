@@ -13,8 +13,6 @@
 //   {"bench": "...", "api": "string|handle", "ns_per_iter": ...}
 //   {"bench": "...", "speedup_handle_vs_string": ...}
 //
-// so BENCH_primitives.json baselines can be diffed across PRs.
-//
 //===----------------------------------------------------------------------===//
 
 #include "apps/flappy/Flappy.h"

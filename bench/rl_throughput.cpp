@@ -20,8 +20,6 @@
 //    "env_steps_per_sec": ..., "train_transitions_per_sec": ...,
 //    "speedup_vs_serial": ...}
 //
-// so BENCH_rl_throughput.json baselines can be diffed across PRs.
-//
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"

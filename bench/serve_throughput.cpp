@@ -16,7 +16,6 @@
 //    "calls_per_sec": ..., "p50_us": ..., "p99_us": ...,
 //    "speedup_vs_per_call": ...}
 //
-// so BENCH_serve_throughput.json baselines can be diffed across PRs.
 // Latency is per client call: a batched client's call completes when its
 // round's fused pass completes, so the round time is every rider's latency.
 //

@@ -30,6 +30,8 @@
 #include "support/Image.h"
 #include "support/Rng.h"
 
+#include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -85,6 +87,10 @@ public:
   /// variables the user annotates).
   virtual std::vector<std::string> targetVariables() const = 0;
 };
+
+/// Creates one fresh environment instance (the parallel harness paths call
+/// it once per actor or evaluation lane).
+using GameEnvFactory = std::function<std::unique_ptr<GameEnv>()>;
 
 /// Looks up \p Name in \p Fs; asserts when missing.
 float featureValue(const std::vector<Feature> &Fs, const std::string &Name);

@@ -2,7 +2,6 @@
 
 #include "apps/common/RlHarness.h"
 
-#include "support/ThreadPool.h"
 #include "support/Timer.h"
 
 #include <algorithm>
@@ -86,6 +85,18 @@ struct SessionPool {
       Main.foldStats(L->stats());
   }
 };
+
+/// \p N fresh environments from \p Factory, one per actor or lane.
+std::vector<std::unique_ptr<GameEnv>> makeEnvs(const GameEnvFactory &Factory,
+                                               int N) {
+  std::vector<std::unique_ptr<GameEnv>> Envs;
+  Envs.reserve(static_cast<size_t>(N));
+  for (int I = 0; I < N; ++I) {
+    Envs.push_back(Factory());
+    assert(Envs.back() && "factory produced no environment");
+  }
+  return Envs;
+}
 } // namespace
 
 static RlHandles makeHandles(GameEnv &Env, Session &S,
@@ -251,13 +262,13 @@ RlTrainResult au::apps::trainRlParallel(const GameEnvFactory &Factory,
   assert(Main.mode() == Mode::TR && "training requires TR mode");
   assert(NumActors > 0 && "need at least one actor");
   const int K = NumActors;
-  VectorEnv VE(Factory, K, Opt.Seed);
+  std::vector<std::unique_ptr<GameEnv>> Envs = makeEnvs(Factory, K);
 
   RlTrainResult Res;
-  Res.ModelName = rlModelName(VE.env(0), Opt.Variant);
-  Model *M = configureModel(VE.env(0), Main, Opt);
+  Res.ModelName = rlModelName(*Envs[0], Opt.Variant);
+  Model *M = configureModel(*Envs[0], Main, Opt);
   static_cast<RlModel *>(M)->configureActors(K);
-  RlHandles H = makeHandles(VE.env(0), Main, Opt);
+  RlHandles H = makeHandles(*Envs[0], Main, Opt);
 
   // The lane sessions come after every name is interned, so each lane store
   // mirrors the full master table from birth.
@@ -268,11 +279,12 @@ RlTrainResult au::apps::trainRlParallel(const GameEnvFactory &Factory,
   // the seed sequence is thread-count independent. (Unlike trainRl there is
   // no checkpoint/restore rollback — K actors restarting from one shared
   // snapshot would collapse the fleet's level diversity; see DESIGN.md §8.)
-  VE.resetAll(
-      [&](int A) { return makeSeed(Opt.Seed, static_cast<uint64_t>(A)); });
+  for (int A = 0; A < K; ++A)
+    Envs[static_cast<size_t>(A)]->reset(
+        makeSeed(Opt.Seed, static_cast<uint64_t>(A)));
   uint64_t NextJitter = static_cast<uint64_t>(K);
   if (Opt.Variant == RlVariant::All)
-    resolveFeatureIdx(VE.env(0), Opt, H);
+    resolveFeatureIdx(*Envs[0], Opt, H);
 
   size_t TraceStart = Main.stats().traceBytes();
   Timer TrainTimer;
@@ -280,21 +292,14 @@ RlTrainResult au::apps::trainRlParallel(const GameEnvFactory &Factory,
   std::vector<NameId> ExtIds(static_cast<size_t>(K), InvalidNameId);
   std::vector<float> Rewards(static_cast<size_t>(K), 0.0f);
   std::vector<uint8_t> Terms(static_cast<size_t>(K), 0);
-  std::vector<float> StepRewards(static_cast<size_t>(K), 0.0f);
-  std::vector<uint8_t> NewTerms(static_cast<size_t>(K), 0);
-  std::vector<uint8_t> Stepping(static_cast<size_t>(K), 0);
   std::vector<int> EpSteps(static_cast<size_t>(K), 0);
-  ThreadPool &TPool = ThreadPool::global();
   long PrevSteps = 0;
 
   while (Res.StepsRun < Opt.TrainSteps) {
-    // 1. Extract + serialize every actor's state into its own lane session
-    // (disjoint stores; parallel).
-    TPool.parallelFor(0, static_cast<size_t>(K), 1, [&](size_t B, size_t E) {
-      for (size_t A = B; A != E; ++A)
-        ExtIds[A] = extractStateLane(VE.env(static_cast<int>(A)),
-                                     Pool.lane(static_cast<int>(A)), Opt, H);
-    });
+    // 1. Extract + serialize every actor's state into its own lane session.
+    for (int A = 0; A < K; ++A)
+      ExtIds[static_cast<size_t>(A)] =
+          extractStateLane(*Envs[static_cast<size_t>(A)], Pool.lane(A), Opt, H);
 
     // 2. One fused au_NN for the whole fleet: observe the completed
     // transitions, advance the training schedule, select K actions with a
@@ -302,37 +307,24 @@ RlTrainResult au::apps::trainRlParallel(const GameEnvFactory &Factory,
     Eng.nnRlSessions(H.Model, Pool.Ptrs.data(), ExtIds.data(), Rewards.data(),
                      Terms.data(), K, H.Output, /*Learning=*/true);
 
-    // 3. Write back and step every live actor (disjoint envs; parallel).
-    // Actors whose episode just ended skip the step — their au_NN above
-    // carried the terminal signal, mirroring trainRl's `continue`.
-    for (int A = 0; A < K; ++A)
-      Stepping[static_cast<size_t>(A)] = Terms[static_cast<size_t>(A)] ? 0 : 1;
-    TPool.parallelFor(0, static_cast<size_t>(K), 1, [&](size_t B, size_t E) {
-      for (size_t A = B; A != E; ++A) {
-        if (!Stepping[A])
-          continue;
-        GameEnv &Env = VE.env(static_cast<int>(A));
-        int Action = 0;
-        Pool.lane(static_cast<int>(A))
-            .writeBack(H.Output.Name, Env.numActions(), &Action);
-        StepRewards[A] = Env.step(Action);
-        NewTerms[A] = Env.terminal() ? 1 : 0;
-      }
-    });
-
-    // 4. Serial episode bookkeeping in fixed actor order.
+    // 3. In fixed actor order: an actor whose episode just ended restarts
+    // (its au_NN above carried the terminal signal, mirroring trainRl's
+    // `continue`); every other actor writes back and steps.
     for (int A = 0; A < K; ++A) {
       size_t AI = static_cast<size_t>(A);
-      if (!Stepping[AI]) {
+      GameEnv &Env = *Envs[AI];
+      if (Terms[AI]) {
         ++Res.Episodes;
         EpSteps[AI] = 0;
         Rewards[AI] = 0.0f;
         Terms[AI] = 0;
-        VE.reset(A, makeSeed(Opt.Seed, NextJitter++));
+        Env.reset(makeSeed(Opt.Seed, NextJitter++));
         continue;
       }
-      Rewards[AI] = StepRewards[AI];
-      Terms[AI] = NewTerms[AI];
+      int Action = 0;
+      Pool.lane(A).writeBack(H.Output.Name, Env.numActions(), &Action);
+      Rewards[AI] = Env.step(Action);
+      Terms[AI] = Env.terminal() ? 1 : 0;
       ++Res.StepsRun;
       if (++EpSteps[AI] >= Opt.MaxEpisodeSteps)
         Terms[AI] = 1; // Truncate over-long episodes.
@@ -362,8 +354,8 @@ RlEvalResult au::apps::evalRlBatched(const GameEnvFactory &Factory,
                                      const RlTrainOptions &Opt,
                                      int Episodes) {
   assert(Episodes > 0 && "evaluation needs at least one episode");
-  VectorEnv VE(Factory, Episodes, Opt.Seed ^ 0xe7a1u);
-  RlHandles H = makeHandles(VE.env(0), Main, Opt);
+  std::vector<std::unique_ptr<GameEnv>> Envs = makeEnvs(Factory, Episodes);
+  RlHandles H = makeHandles(*Envs[0], Main, Opt);
   assert(Main.getModel(H.Model) && "evaluating an unconfigured model");
 
   // One deployment-mode lane session per episode; learning is off at the
@@ -372,14 +364,16 @@ RlEvalResult au::apps::evalRlBatched(const GameEnvFactory &Factory,
   SessionPool Pool(Eng, Mode::TS, Episodes);
 
   // Same per-episode seeds as the serial evalRl.
-  VE.resetAll([&](int Ep) {
-    return makeSeed(Opt.Seed, 100 + static_cast<uint64_t>(Ep));
-  });
+  for (int Ep = 0; Ep < Episodes; ++Ep)
+    Envs[static_cast<size_t>(Ep)]->reset(
+        makeSeed(Opt.Seed, 100 + static_cast<uint64_t>(Ep)));
   if (Opt.Variant == RlVariant::All)
-    resolveFeatureIdx(VE.env(0), Opt, H);
+    resolveFeatureIdx(*Envs[0], Opt, H);
 
+  auto EnvOf = [&](int Ep) -> GameEnv & {
+    return *Envs[static_cast<size_t>(Ep)];
+  };
   RlEvalResult Res;
-  ThreadPool &TPool = ThreadPool::global();
   Timer T;
   long Steps = 0;
 
@@ -389,9 +383,9 @@ RlEvalResult au::apps::evalRlBatched(const GameEnvFactory &Factory,
   std::vector<int> Live;
   std::vector<int> EpSteps(static_cast<size_t>(Episodes), 0);
   for (int Ep = 0; Ep < Episodes; ++Ep) {
-    if (VE.env(Ep).terminal()) {
-      Res.MeanProgress += VE.env(Ep).progress();
-      Res.SuccessRate += VE.env(Ep).success() ? 1.0 : 0.0;
+    if (EnvOf(Ep).terminal()) {
+      Res.MeanProgress += EnvOf(Ep).progress();
+      Res.SuccessRate += EnvOf(Ep).success() ? 1.0 : 0.0;
     } else {
       Live.push_back(Ep);
     }
@@ -403,25 +397,20 @@ RlEvalResult au::apps::evalRlBatched(const GameEnvFactory &Factory,
   while (!Live.empty()) {
     int M = static_cast<int>(Live.size());
     ExtIds.assign(static_cast<size_t>(M), InvalidNameId);
-    TPool.parallelFor(0, static_cast<size_t>(M), 1, [&](size_t B, size_t E) {
-      for (size_t I = B; I != E; ++I)
-        ExtIds[I] = extractStateLane(VE.env(Live[I]),
-                                     Pool.lane(static_cast<int>(I)), Opt, H);
-    });
+    for (int I = 0; I < M; ++I)
+      ExtIds[static_cast<size_t>(I)] = extractStateLane(
+          EnvOf(Live[static_cast<size_t>(I)]), Pool.lane(I), Opt, H);
     ZeroRewards.assign(static_cast<size_t>(M), 0.0f);
     NoTerms.assign(static_cast<size_t>(M), 0);
     Eng.nnRlSessions(H.Model, Pool.Ptrs.data(), ExtIds.data(),
                      ZeroRewards.data(), NoTerms.data(), M, H.Output,
                      /*Learning=*/false);
-    TPool.parallelFor(0, static_cast<size_t>(M), 1, [&](size_t B, size_t E) {
-      for (size_t I = B; I != E; ++I) {
-        GameEnv &Env = VE.env(Live[I]);
-        int Action = 0;
-        Pool.lane(static_cast<int>(I))
-            .writeBack(H.Output.Name, Env.numActions(), &Action);
-        Env.step(Action);
-      }
-    });
+    for (int I = 0; I < M; ++I) {
+      GameEnv &Env = EnvOf(Live[static_cast<size_t>(I)]);
+      int Action = 0;
+      Pool.lane(I).writeBack(H.Output.Name, Env.numActions(), &Action);
+      Env.step(Action);
+    }
     Steps += M;
 
     std::vector<int> Next;
@@ -429,10 +418,10 @@ RlEvalResult au::apps::evalRlBatched(const GameEnvFactory &Factory,
     for (int I = 0; I < M; ++I) {
       int Ep = Live[static_cast<size_t>(I)];
       ++EpSteps[static_cast<size_t>(Ep)];
-      if (VE.env(Ep).terminal() ||
+      if (EnvOf(Ep).terminal() ||
           EpSteps[static_cast<size_t>(Ep)] >= Opt.MaxEpisodeSteps) {
-        Res.MeanProgress += VE.env(Ep).progress();
-        Res.SuccessRate += VE.env(Ep).success() ? 1.0 : 0.0;
+        Res.MeanProgress += EnvOf(Ep).progress();
+        Res.SuccessRate += EnvOf(Ep).success() ? 1.0 : 0.0;
       } else {
         Next.push_back(Ep);
       }

@@ -25,7 +25,6 @@
 
 #include "analysis/FeatureExtraction.h"
 #include "apps/common/GameEnv.h"
-#include "apps/common/VectorEnv.h"
 #include "core/Engine.h"
 #include "core/Session.h"
 #include "nn/QLearner.h"
@@ -111,10 +110,11 @@ RlTrainResult trainRl(GameEnv &Env, Session &S, const RlTrainOptions &Opt);
 
 /// Parallel-rollout training (DESIGN.md §8): \p NumActors environments from
 /// \p Factory run in lockstep ticks. Each actor is its own Session over
-/// \p Eng; per tick, feature extraction and env stepping parallelize across
-/// actor sessions on the global ThreadPool, the K au_NN calls fuse into one
-/// batched model step (Engine::nnRlSessions), transitions land in per-actor
-/// replay shards, and the training schedule advances once per tick. The
+/// \p Eng; per tick, every actor extracts its features into its own
+/// session, the K au_NN calls fuse into one batched model step
+/// (Engine::nnRlSessions), every live actor writes back and steps,
+/// transitions land in per-actor replay shards, and the training schedule
+/// advances once per tick. The
 /// actors' primitive counters fold into \p Main's stats, whose traceBytes()
 /// delta becomes the result's TraceBytes. Results are bitwise identical at
 /// any AU_NN_THREADS setting.
@@ -137,10 +137,9 @@ RlEvalResult evalRl(GameEnv &Env, Session &S, const RlTrainOptions &Opt,
 /// Greedy evaluation with the episodes run concurrently: each episode is
 /// one Session lane over \p Eng, action selection for all live lanes fuses
 /// into one batched inference per tick (Engine::nnRlSessions with learning
-/// off), and env stepping parallelizes across lanes. Uses the same
-/// per-episode seeds as evalRl; with one episode the two produce identical
-/// scores (a single-row batch is the serial TS path). Lane stats fold into
-/// \p Main; \p Main's mode is never touched.
+/// off). Uses the same per-episode seeds as evalRl; with one episode the
+/// two produce identical scores (a single-row batch is the serial TS path).
+/// Lane stats fold into \p Main; \p Main's mode is never touched.
 RlEvalResult evalRlBatched(const GameEnvFactory &Factory, Engine &Eng,
                            Session &Main, const RlTrainOptions &Opt,
                            int Episodes);

@@ -243,7 +243,8 @@ void Engine::nnBatchSessions(NameId ModelId, Session *const *Sessions,
   assert(D > 0 && "au_NN with an empty feature list");
   NnStaging.resize(static_cast<size_t>(K) * D);
   ThreadPool::global().parallelFor(
-      0, static_cast<size_t>(K), 1, [&](size_t B, size_t E) {
+      0, static_cast<size_t>(K), ThreadPool::grainFor(D),
+      [&](size_t B, size_t E) {
         for (size_t S = B; S != E; ++S) {
           SerializedView V = Sessions[S]->Db.view(ExtIds[S]);
           assert(V.size() == D && "session feature sizes diverged");
@@ -268,7 +269,8 @@ void Engine::nnBatchSessions(NameId ModelId, Session *const *Sessions,
   // session. au_NN counts once per session, in the session's own stats.
   const size_t NY = NnOut.size() / static_cast<size_t>(K);
   ThreadPool::global().parallelFor(
-      0, static_cast<size_t>(K), 1, [&](size_t B, size_t E) {
+      0, static_cast<size_t>(K), ThreadPool::grainFor(NY),
+      [&](size_t B, size_t E) {
         for (size_t S = B; S != E; ++S) {
           Session &Sess = *Sessions[S];
           ++Sess.Stats.NumNn;
@@ -299,7 +301,8 @@ void Engine::nnRlSessions(NameId ModelId, Session *const *Sessions,
   assert(D > 0 && "au_NN with an empty state list");
   NnStaging.resize(static_cast<size_t>(K) * D);
   ThreadPool::global().parallelFor(
-      0, static_cast<size_t>(K), 1, [&](size_t B, size_t E) {
+      0, static_cast<size_t>(K), ThreadPool::grainFor(D),
+      [&](size_t B, size_t E) {
         for (size_t S = B; S != E; ++S) {
           SerializedView V = Sessions[S]->Db.view(ExtIds[S]);
           assert(V.size() == D && "session state sizes diverged");
@@ -317,8 +320,10 @@ void Engine::nnRlSessions(NameId ModelId, Session *const *Sessions,
   Rl->stepActors(NnStaging.data(), K, static_cast<int>(D), Rewards, Terminals,
                  Spec, Learning, ActionsScratch.data());
 
+  // One action float per session.
   ThreadPool::global().parallelFor(
-      0, static_cast<size_t>(K), 1, [&](size_t B, size_t E) {
+      0, static_cast<size_t>(K), ThreadPool::grainFor(1),
+      [&](size_t B, size_t E) {
         for (size_t S = B; S != E; ++S) {
           Session &Sess = *Sessions[S];
           ++Sess.Stats.NumNn;

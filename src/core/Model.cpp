@@ -26,18 +26,19 @@ bool ParamSnapshot::installInto(nn::Network &Net) const {
   return true;
 }
 
-nn::Network Model::makeNetwork(int InputSize, int OutSize, Rng &Rand) const {
-  if (Cfg.CustomNetwork)
-    return Cfg.CustomNetwork(InputSize, OutSize, Rand);
-  if (Cfg.Type == ModelType::CNN) {
-    assert(Cfg.FrameSide > 0 && Cfg.FrameChannels > 0 &&
+nn::Network Model::makeNetwork(const ModelConfig &C, int InputSize,
+                               int OutSize, Rng &Rand) {
+  if (C.CustomNetwork)
+    return C.CustomNetwork(InputSize, OutSize, Rand);
+  if (C.Type == ModelType::CNN) {
+    assert(C.FrameSide > 0 && C.FrameChannels > 0 &&
            "CNN model requires frame geometry in its config");
-    assert(InputSize == Cfg.FrameSide * Cfg.FrameSide * Cfg.FrameChannels &&
+    assert(InputSize == C.FrameSide * C.FrameSide * C.FrameChannels &&
            "CNN input size must match the configured frame geometry");
-    return nn::buildDeepMindCnn(Cfg.FrameChannels, Cfg.FrameSide,
-                                Cfg.HiddenLayers, OutSize, Rand);
+    return nn::buildDeepMindCnn(C.FrameChannels, C.FrameSide, C.HiddenLayers,
+                                OutSize, Rand);
   }
-  return nn::buildDnn(InputSize, Cfg.HiddenLayers, OutSize, Rand);
+  return nn::buildDnn(InputSize, C.HiddenLayers, OutSize, Rand);
 }
 
 //===----------------------------------------------------------------------===//
@@ -237,6 +238,16 @@ bool readHeader(BinFile &B, Header &H) {
   }
   return B.Ok && headerConsistent(H);
 }
+
+/// \p Base with the architecture fields of a parsed header.
+ModelConfig withArchitecture(const ModelConfig &Base, const Header &H) {
+  ModelConfig C = Base;
+  C.Type = H.Type;
+  C.FrameSide = H.FrameSide;
+  C.FrameChannels = H.FrameChannels;
+  C.HiddenLayers = H.Hidden;
+  return C;
+}
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -261,7 +272,7 @@ void SlModel::addSample(const std::vector<float> &X,
     Outs = Outputs;
     double Lr = Cfg.LearningRate > 0 ? Cfg.LearningRate : 1e-3;
     Trainer = std::make_unique<nn::SupervisedTrainer>(
-        makeNetwork(InSize, totalOutputSize(), Rand), Lr);
+        makeNetwork(Cfg, InSize, totalOutputSize(), Rand), Lr);
     Built = true;
   }
   assert(static_cast<int>(X.size()) == InSize && "feature size changed");
@@ -308,7 +319,7 @@ SlModel::makeReplica(const ParamSnapshot &S) const {
   Rng R(Cfg.Seed);
   double Lr = Cfg.LearningRate > 0 ? Cfg.LearningRate : 1e-3;
   auto T = std::make_unique<nn::SupervisedTrainer>(
-      makeNetwork(S.InSize, S.OutSize, R), Lr);
+      makeNetwork(Cfg, S.InSize, S.OutSize, R), Lr);
   if (!S.installInto(T->network()))
     return nullptr;
   T->setNormalization(S.XMean, S.XStd, S.YMean, S.YStd);
@@ -353,17 +364,16 @@ bool SlModel::load(const std::string &Path) {
     std::fclose(B.F);
     return false;
   }
-  Cfg.Type = H.Type;
-  Cfg.FrameSide = H.FrameSide;
-  Cfg.FrameChannels = H.FrameChannels;
-  Cfg.HiddenLayers = H.Hidden;
-  InSize = H.InSize;
-  Outs = H.Outs;
-  double Lr = Cfg.LearningRate > 0 ? Cfg.LearningRate : 1e-3;
-  Trainer = std::make_unique<nn::SupervisedTrainer>(
-      makeNetwork(InSize, H.ActionOrOutSize, Rand), Lr);
-  bool Ok = readParams(B, Trainer->network());
-  size_t NX = static_cast<size_t>(InSize);
+  // Build and fill a fresh trainer; the model adopts it (and the file's
+  // architecture) only once every field has been read, so a failed load
+  // leaves the model as it was.
+  ModelConfig NewCfg = withArchitecture(Cfg, H);
+  Rng NewRand = Rand;
+  double Lr = NewCfg.LearningRate > 0 ? NewCfg.LearningRate : 1e-3;
+  auto NewTrainer = std::make_unique<nn::SupervisedTrainer>(
+      makeNetwork(NewCfg, H.InSize, H.ActionOrOutSize, NewRand), Lr);
+  bool Ok = readParams(B, NewTrainer->network());
+  size_t NX = static_cast<size_t>(H.InSize);
   size_t NY = static_cast<size_t>(H.ActionOrOutSize);
   std::vector<float> XM = B.readFloatVec(NX);
   std::vector<float> XS = B.readFloatVec(NX);
@@ -373,8 +383,13 @@ bool SlModel::load(const std::string &Path) {
   std::fclose(B.F);
   if (!Ok)
     return false;
-  Trainer->setNormalization(std::move(XM), std::move(XS), std::move(YM),
-                            std::move(YS));
+  NewTrainer->setNormalization(std::move(XM), std::move(XS), std::move(YM),
+                               std::move(YS));
+  Cfg = std::move(NewCfg);
+  Rand = NewRand;
+  InSize = H.InSize;
+  Outs = std::move(H.Outs);
+  Trainer = std::move(NewTrainer);
   Built = true;
   return true;
 }
@@ -395,21 +410,27 @@ void RlModel::setQConfig(const nn::QConfig &C) {
     QCfg.LearningRate = Cfg.LearningRate;
 }
 
-void RlModel::build(int InputSize, const WriteBackSpec &Output) {
-  InSize = InputSize;
-  Outs = {Output};
-  assert(Output.Size > 1 && "RL output size is the action count (> 1)");
+std::unique_ptr<nn::QLearner>
+RlModel::makeLearner(const ModelConfig &C, int InputSize, int Actions) const {
+  assert(Actions > 1 && "RL output size is the action count (> 1)");
   // The factory captures a shared seed sequence: online and target nets get
   // distinct but deterministic initializations before the initial sync.
-  unsigned long long Seed = Cfg.Seed;
-  auto MakeNet = [this, Seed]() mutable {
+  unsigned long long Seed = C.Seed;
+  auto MakeNet = [&C, InputSize, Actions, Seed]() mutable {
     Rng R(Seed++);
-    return makeNetwork(InSize, Outs.front().Size, R);
+    return makeNetwork(C, InputSize, Actions, R);
   };
-  Learner = std::make_unique<nn::QLearner>(MakeNet, Output.Size, QCfg,
-                                           Cfg.Seed ^ 0x5eedu);
+  auto L = std::make_unique<nn::QLearner>(MakeNet, Actions, QCfg,
+                                          C.Seed ^ 0x5eedu);
   if (NumActorsCfg > 0)
-    Learner->configureActors(NumActorsCfg);
+    L->configureActors(NumActorsCfg);
+  return L;
+}
+
+void RlModel::build(int InputSize, const WriteBackSpec &Output) {
+  Learner = makeLearner(Cfg, InputSize, Output.Size);
+  InSize = InputSize;
+  Outs = {Output};
   Built = true;
 }
 
@@ -550,12 +571,18 @@ bool RlModel::load(const std::string &Path) {
     std::fclose(B.F);
     return false;
   }
-  Cfg.Type = H.Type;
-  Cfg.FrameSide = H.FrameSide;
-  Cfg.FrameChannels = H.FrameChannels;
-  Cfg.HiddenLayers = H.Hidden;
-  build(H.InSize, H.Outs.front());
-  bool Ok = readParams(B, Learner->onlineNetwork());
+  // As in SlModel::load: fill a fresh learner, adopt it only on success.
+  ModelConfig NewCfg = withArchitecture(Cfg, H);
+  std::unique_ptr<nn::QLearner> NewLearner =
+      makeLearner(NewCfg, H.InSize, H.Outs.front().Size);
+  bool Ok = readParams(B, NewLearner->onlineNetwork());
   std::fclose(B.F);
-  return Ok;
+  if (!Ok)
+    return false;
+  Cfg = std::move(NewCfg);
+  Learner = std::move(NewLearner);
+  InSize = H.InSize;
+  Outs = std::move(H.Outs);
+  Built = true;
+  return true;
 }

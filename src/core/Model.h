@@ -101,9 +101,11 @@ public:
 protected:
   Model(KindTy K, ModelConfig C) : Kind(K), Cfg(std::move(C)) {}
 
-  /// Builds the underlying network for \p InputSize, per the configured
-  /// type (DNN or DeepMind-style CNN over the configured frame geometry).
-  nn::Network makeNetwork(int InputSize, int OutSize, Rng &Rand) const;
+  /// Builds the underlying network for \p InputSize, per the type in \p C
+  /// (DNN or DeepMind-style CNN over its frame geometry). Takes the config
+  /// explicitly so a load can build from a file's config before adopting it.
+  static nn::Network makeNetwork(const ModelConfig &C, int InputSize,
+                                 int OutSize, Rng &Rand);
 
   KindTy Kind;
   ModelConfig Cfg;
@@ -225,6 +227,11 @@ public:
 
 private:
   void build(int InputSize, const WriteBackSpec &Output);
+
+  /// A fresh learner for \p C's network over \p InputSize inputs and
+  /// \p Actions actions; touches no member but the Q and actor settings.
+  std::unique_ptr<nn::QLearner> makeLearner(const ModelConfig &C,
+                                            int InputSize, int Actions) const;
 
   std::unique_ptr<nn::QLearner> Learner;
   nn::QConfig QCfg;

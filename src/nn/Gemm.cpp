@@ -126,8 +126,8 @@ void sgemmBlockedCore(int M, int N, int K, float Alpha, const float *AP,
                       int Ldc) {
   constexpr int KBlock = 256;
   size_t FlopsPerRow = static_cast<size_t>(std::max(1, K)) * N;
-  size_t Grain = std::max<size_t>(1, 32768 / FlopsPerRow);
-  ThreadPool::global().parallelFor(0, static_cast<size_t>(M), Grain,
+  ThreadPool::global().parallelFor(0, static_cast<size_t>(M),
+                                   ThreadPool::grainFor(FlopsPerRow),
                                    [&](size_t RowB, size_t RowE) {
     for (size_t I = RowB; I != RowE; ++I) {
       float *CRow = C + I * Ldc;
@@ -178,8 +178,8 @@ void sgemmSimdCore(int M, int N, int K, float Alpha, const float *APanels,
   size_t NPanels = static_cast<size_t>(simd::numAPanels(M));
   size_t FlopsPerPanel =
       static_cast<size_t>(simd::MR) * std::max(1, K) * std::max(1, N);
-  size_t Grain = std::max<size_t>(1, 262144 / FlopsPerPanel);
-  ThreadPool::global().parallelFor(0, NPanels, Grain,
+  ThreadPool::global().parallelFor(0, NPanels,
+                                   ThreadPool::grainFor(FlopsPerPanel),
                                    [&](size_t PB, size_t PE) {
     simd::microKernelRange(static_cast<int>(PB), static_cast<int>(PE), M, N,
                            K, Alpha, APanels, BPanels, Beta, BiasRow, C, Ldc);

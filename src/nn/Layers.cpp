@@ -154,7 +154,7 @@ Tensor ReLU::forwardBatch(const Tensor &In) {
   Tensor Y = Workspace::acquire(In.shape());
   float *D = Y.data();
   const float *S = In.data();
-  ThreadPool::global().parallelFor(0, Y.size(), 8192,
+  ThreadPool::global().parallelFor(0, Y.size(), ThreadPool::grainFor(1),
                                    [&](size_t B, size_t E) {
     std::memcpy(D + B, S + B, sizeof(float) * (E - B));
     reluForwardKernel(D + B, E - B);
@@ -169,7 +169,7 @@ Tensor ReLU::backwardBatch(const Tensor &GradOut) {
   float *D = GradIn.data();
   const float *S = GradOut.data();
   const float *X = LastInB.data();
-  ThreadPool::global().parallelFor(0, GradIn.size(), 8192,
+  ThreadPool::global().parallelFor(0, GradIn.size(), ThreadPool::grainFor(1),
                                    [&](size_t B, size_t E) {
     std::memcpy(D + B, S + B, sizeof(float) * (E - B));
     reluBackwardKernel(D + B, X + B, E - B);
@@ -267,7 +267,9 @@ Tensor Conv2D::forwardBatch(const Tensor &Input) {
   // GEMM Out_b = W * Col_b (+ bias) in parallel across the batch. The simd
   // engine seeds its accumulators with the bias (no fill pass, no Beta
   // read-modify pass over Out).
-  ThreadPool::global().parallelFor(0, static_cast<size_t>(BN), 1,
+  const size_t SampleFlops = ColSz * static_cast<size_t>(OutC);
+  ThreadPool::global().parallelFor(0, static_cast<size_t>(BN),
+                                   ThreadPool::grainFor(SampleFlops),
                                    [&](size_t B0, size_t B1) {
     for (size_t Bi = B0; Bi != B1; ++Bi) {
       float *Col = &ColB[Bi * ColSz];
@@ -302,7 +304,7 @@ Tensor Conv2D::backwardBatch(const Tensor &GradOut) {
 
   // Bias gradients: data-parallel over minibatch shards, fixed tree
   // reduction.
-  parallelShardedSum(BN, 1, static_cast<size_t>(OutC),
+  parallelShardedSum(BN, 1, GSz, static_cast<size_t>(OutC),
                      [&](size_t B0, size_t B1, float *Acc) {
     for (size_t Bi = B0; Bi != B1; ++Bi) {
       const float *G = GD + Bi * GSz;
@@ -318,7 +320,8 @@ Tensor Conv2D::backwardBatch(const Tensor &GradOut) {
 
   // Weight gradients: GW += sum_b GradOut_b * Col_b^T, accumulated into
   // per-shard buffers and tree-reduced so any thread count rounds alike.
-  parallelShardedSum(BN, 1, W.size(),
+  const size_t SampleFlops = ColSz * static_cast<size_t>(OutC);
+  parallelShardedSum(BN, 1, SampleFlops, W.size(),
                      [&](size_t B0, size_t B1, float *Acc) {
     for (size_t Bi = B0; Bi != B1; ++Bi)
       sgemm(/*TransA=*/false, /*TransB=*/true, OutC, CKK, OH * OW, 1.0f,
@@ -336,7 +339,8 @@ Tensor Conv2D::backwardBatch(const Tensor &GradOut) {
   size_t InSz = GradIn.sampleSize();
   ensurePackedA(PackedWTA, paramGen(), /*TransA=*/true, CKK, OutC, W.data(),
                 CKK);
-  ThreadPool::global().parallelFor(0, static_cast<size_t>(BN), 1,
+  ThreadPool::global().parallelFor(0, static_cast<size_t>(BN),
+                                   ThreadPool::grainFor(SampleFlops),
                                    [&](size_t B0, size_t B1) {
     for (size_t Bi = B0; Bi != B1; ++Bi) {
       float *DCol = &DColB[Bi * ColSz];
@@ -422,7 +426,8 @@ Tensor MaxPool2D::forwardBatch(const Tensor &In) {
   const float *InD = In.data();
   float *OutD = Out.data();
   size_t *AM = ArgMaxB.data();
-  ThreadPool::global().parallelFor(0, static_cast<size_t>(BN), 1,
+  ThreadPool::global().parallelFor(0, static_cast<size_t>(BN),
+                                   ThreadPool::grainFor(InSz),
                                    [&](size_t B0, size_t B1) {
     for (size_t Bi = B0; Bi != B1; ++Bi)
       maxPool2x2(InD + Bi * InSz, C, H, W, OutD + Bi * OutSz,
@@ -443,7 +448,8 @@ Tensor MaxPool2D::backwardBatch(const Tensor &GradOut) {
   float *D = GradIn.data();
   // Each sample scatters only into its own input slab, so batch-parallel
   // scatter is race-free and deterministic.
-  ThreadPool::global().parallelFor(0, static_cast<size_t>(BN), 1,
+  ThreadPool::global().parallelFor(0, static_cast<size_t>(BN),
+                                   ThreadPool::grainFor(OutSz),
                                    [&](size_t B0, size_t B1) {
     for (size_t Bi = B0; Bi != B1; ++Bi)
       for (size_t I = Bi * OutSz, E = (Bi + 1) * OutSz; I != E; ++I)

@@ -264,14 +264,3 @@ TEST(RlParallel, BatchedEvalMultiEpisodeMatchesSerialEval) {
   EXPECT_EQ(Batched.MeanProgress, Serial.MeanProgress);
   EXPECT_EQ(Batched.SuccessRate, Serial.SuccessRate);
 }
-
-TEST(RlParallel, VectorEnvStreamsAreDecorrelatedAndStable) {
-  VectorEnv VE(flappyFactory(), /*NumActors=*/3, /*Seed=*/7);
-  ASSERT_EQ(VE.size(), 3);
-  // Per-actor streams are derived counter-style from (seed, actor): the
-  // same construction yields the same draws, and distinct actors draw
-  // distinct sequences.
-  VectorEnv VE2(flappyFactory(), 3, 7);
-  EXPECT_EQ(VE.stream(0).next(), VE2.stream(0).next());
-  EXPECT_NE(VE.stream(1).next(), VE.stream(2).next());
-}

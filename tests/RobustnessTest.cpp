@@ -18,6 +18,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <vector>
 
 using namespace au;
 using namespace au::apps;
@@ -36,20 +37,39 @@ ModelConfig cfg(std::string Name, Algorithm A = Algorithm::AdamOpt) {
   return C;
 }
 
-/// Writes a trained 1 -> 6 -> 1 SL model to \p File in the test temp
-/// directory and returns its path. Each test names its own file, so tests
-/// running in parallel never rewrite each other's model.
-std::string writeTrainedModel(const std::string &File) {
-  SlModel M(cfg("m"));
+/// Trains \p M as a 1 -> 6 -> 1 SL model of the identity.
+void trainIdentity(SlModel &M) {
   Rng R(12);
   for (int I = 0; I < 30; ++I) {
     float X = static_cast<float>(R.uniform(0, 1));
     M.addSample({X}, {X}, {{"Y", 1}});
   }
   M.train(5, 8);
+}
+
+/// Writes a trained 1 -> 6 -> 1 SL model to \p File in the test temp
+/// directory and returns its path. Each test names its own file, so tests
+/// running in parallel never rewrite each other's model.
+std::string writeTrainedModel(const std::string &File) {
+  SlModel M(cfg("m"));
+  trainIdentity(M);
   std::string Path = ::testing::TempDir() + File;
   EXPECT_TRUE(M.save(Path));
   return Path;
+}
+
+/// Cuts the file at \p Path down to its first \p Bytes bytes.
+void truncateFile(const std::string &Path, size_t Bytes) {
+  std::FILE *F = std::fopen(Path.c_str(), "rb");
+  ASSERT_TRUE(F);
+  std::vector<char> Buf(Bytes);
+  size_t N = std::fread(Buf.data(), 1, Bytes, F);
+  std::fclose(F);
+  ASSERT_EQ(N, Bytes);
+  F = std::fopen(Path.c_str(), "wb");
+  ASSERT_TRUE(F);
+  std::fwrite(Buf.data(), 1, N, F);
+  std::fclose(F);
 }
 
 /// Overwrites the 4 bytes at \p Offset of the file at \p Path with \p V.
@@ -85,17 +105,45 @@ void expectPatchedModelRejected(const std::string &File, long Offset,
 TEST(PersistenceRobustness, TruncatedFileRejected) {
   std::string Path = writeTrainedModel("au_robust_truncated.aumodel");
   // Truncate to a prefix that still contains a valid magic.
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  ASSERT_TRUE(F);
-  char Buf[64];
-  size_t N = std::fread(Buf, 1, sizeof(Buf), F);
-  std::fclose(F);
-  F = std::fopen(Path.c_str(), "wb");
-  std::fwrite(Buf, 1, N, F);
-  std::fclose(F);
+  truncateFile(Path, 64);
 
   SlModel M(cfg("m"));
   EXPECT_FALSE(M.load(Path));
+  std::remove(Path.c_str());
+}
+
+// A file whose header parses but whose parameters are cut short (80 bytes
+// of a 1 -> 6 -> 1 model) must fail to load and leave the trained model
+// serving exactly as before.
+TEST(PersistenceRobustness, FailedLoadLeavesSlModelUnchanged) {
+  SlModel M(cfg("m"));
+  trainIdentity(M);
+  std::string Path = ::testing::TempDir() + "au_robust_sl_keep.aumodel";
+  ASSERT_TRUE(M.save(Path));
+  truncateFile(Path, 80);
+  std::vector<float> Before = M.predict({0.3f});
+  EXPECT_FALSE(M.load(Path));
+  EXPECT_EQ(M.predict({0.3f}), Before);
+  std::remove(Path.c_str());
+}
+
+TEST(PersistenceRobustness, FailedLoadLeavesRlModelUnchanged) {
+  RlModel M(cfg("q", Algorithm::QLearn));
+  nn::QConfig Q;
+  Q.WarmupSteps = 8;
+  Q.BatchSize = 4;
+  M.setQConfig(Q);
+  Rng R(5);
+  for (int I = 0; I < 40; ++I)
+    M.step({static_cast<float>(R.uniform(0, 1))},
+           static_cast<float>(R.uniform(-1, 1)), I % 10 == 9, {"action", 2},
+           /*Learning=*/true);
+  std::string Path = ::testing::TempDir() + "au_robust_rl_keep.aumodel";
+  ASSERT_TRUE(M.save(Path));
+  truncateFile(Path, 80);
+  std::vector<float> Before = M.qValues({0.3f});
+  EXPECT_FALSE(M.load(Path));
+  EXPECT_EQ(M.qValues({0.3f}), Before);
   std::remove(Path.c_str());
 }
 

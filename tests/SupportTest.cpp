@@ -23,6 +23,14 @@ TEST(RngTest, DeterministicForSameSeed) {
     EXPECT_EQ(A.next(), B.next());
 }
 
+// Per-actor exploration streams (QLearner) derive counter-style from
+// (seed, stream id): the same pair draws the same sequence, and distinct
+// ids draw distinct ones.
+TEST(RngTest, StreamsAreStableAndDecorrelated) {
+  EXPECT_EQ(Rng::stream(7, 0).next(), Rng::stream(7, 0).next());
+  EXPECT_NE(Rng::stream(7, 1).next(), Rng::stream(7, 2).next());
+}
+
 TEST(RngTest, DifferentSeedsDiffer) {
   Rng A(1), B(2);
   int Same = 0;
