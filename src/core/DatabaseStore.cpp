@@ -59,18 +59,18 @@ const std::vector<float> &DatabaseStore::get(NameId Id) const {
   return S.Data;
 }
 
-SerializedView DatabaseStore::view(NameId Id) const {
-  SerializedView V;
+void DatabaseStore::view(NameId Id, SerializedView &V) const {
+  V.Spans.clear();
+  V.Total = 0;
   const Slot &S = slot(Id);
   if (!S.Mapped)
-    return V;
+    return;
   if (!S.Lazy) {
     if (!S.Data.empty())
       V.Spans.push_back({S.Data.data(), S.Data.size()});
     V.Total = S.Data.size();
-    return V;
+    return;
   }
-  V.Spans.reserve(S.Srcs.size());
   for (const Slot::Src &Src : S.Srcs) {
     const Slot &From = slot(Src.Id);
     assert(From.WriteGen == Src.WriteGen &&
@@ -78,7 +78,6 @@ SerializedView DatabaseStore::view(NameId Id) const {
     V.Spans.push_back({From.Data.data(), Src.Len});
   }
   V.Total = S.LazySize;
-  return V;
 }
 
 void DatabaseStore::materialize(const Slot &S) const {

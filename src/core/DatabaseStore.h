@@ -119,8 +119,10 @@ public:
   /// lazily serialized entry on first read.
   const std::vector<float> &get(NameId Id) const;
 
-  /// Span view of the entry without materializing it.
-  SerializedView view(NameId Id) const;
+  /// Fills \p V with a span view of the entry, without materializing it.
+  /// \p V keeps its span capacity across calls, so a caller that reuses one
+  /// view allocates nothing in the steady state.
+  void view(NameId Id, SerializedView &V) const;
 
   /// Replaces the list under \p Id (copying variant reuses the slot's
   /// buffer; no allocation once capacity is warm).

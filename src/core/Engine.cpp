@@ -225,6 +225,28 @@ bool InferenceReplica::refresh(Engine &Eng, NameId ModelId) {
 // Cross-session inference batchers
 //===----------------------------------------------------------------------===//
 
+size_t Engine::gatherRows(Session *const *Sessions, const NameId *ExtIds,
+                          int K) {
+  // Rows are disjoint and each chunk touches only its own sessions' stores
+  // and views, so the gather parallelizes without changing any result.
+  Session &First = *Sessions[0];
+  First.Db.view(ExtIds[0], First.NnView);
+  size_t D = First.NnView.size();
+  assert(D > 0 && "au_NN with an empty model input");
+  NnStaging.resize(static_cast<size_t>(K) * D);
+  ThreadPool::global().parallelFor(
+      0, static_cast<size_t>(K), ThreadPool::grainFor(D),
+      [&](size_t B, size_t E) {
+        for (size_t S = B; S != E; ++S) {
+          Session &Sess = *Sessions[S];
+          Sess.Db.view(ExtIds[S], Sess.NnView);
+          assert(Sess.NnView.size() == D && "session input sizes diverged");
+          Sess.NnView.copyTo(NnStaging.data() + S * D);
+        }
+      });
+  return D;
+}
+
 void Engine::nnBatchSessions(NameId ModelId, Session *const *Sessions,
                              const NameId *ExtIds, int K,
                              const std::vector<WriteBackHandle> &Outputs) {
@@ -236,21 +258,7 @@ void Engine::nnBatchSessions(NameId ModelId, Session *const *Sessions,
   assert(SlModel::classof(M) && "supervised au_NN form on an RL model");
   assert(!Outputs.empty() && "au_NN must declare at least one output");
 
-  // Gather session k's serialized features into row k of one K x D staging
-  // block. Rows are disjoint and each chunk touches only its own session
-  // store, so the gather parallelizes without changing any result.
-  size_t D = Sessions[0]->Db.view(ExtIds[0]).size();
-  assert(D > 0 && "au_NN with an empty feature list");
-  NnStaging.resize(static_cast<size_t>(K) * D);
-  ThreadPool::global().parallelFor(
-      0, static_cast<size_t>(K), ThreadPool::grainFor(D),
-      [&](size_t B, size_t E) {
-        for (size_t S = B; S != E; ++S) {
-          SerializedView V = Sessions[S]->Db.view(ExtIds[S]);
-          assert(V.size() == D && "session feature sizes diverged");
-          V.copyTo(NnStaging.data() + S * D);
-        }
-      });
+  gatherRows(Sessions, ExtIds, K);
 
   // ONE forwardBatch for the whole tenant set — this is where K per-call
   // predictions collapse into a single batched network pass. Serve from a
@@ -297,18 +305,7 @@ void Engine::nnRlSessions(NameId ModelId, Session *const *Sessions,
   assert(RlModel::classof(M) && "RL au_NN form on a supervised model");
   auto *Rl = static_cast<RlModel *>(M);
 
-  size_t D = Sessions[0]->Db.view(ExtIds[0]).size();
-  assert(D > 0 && "au_NN with an empty state list");
-  NnStaging.resize(static_cast<size_t>(K) * D);
-  ThreadPool::global().parallelFor(
-      0, static_cast<size_t>(K), ThreadPool::grainFor(D),
-      [&](size_t B, size_t E) {
-        for (size_t S = B; S != E; ++S) {
-          SerializedView V = Sessions[S]->Db.view(ExtIds[S]);
-          assert(V.size() == D && "session state sizes diverged");
-          V.copyTo(NnStaging.data() + S * D);
-        }
-      });
+  size_t D = gatherRows(Sessions, ExtIds, K);
 
   // One fused model step for the whole fleet (observe, train when due,
   // batched action selection). The output's string spec is only needed on

@@ -199,6 +199,11 @@ private:
   EngineModelEntry *entryByName(const std::string &Name);
   uint64_t publish(EngineModelEntry *E);
 
+  /// Gathers session k's model input pi_k[ExtIds[k]] into row k of the
+  /// K x D block NnStaging (in parallel, through each session's own view)
+  /// and returns D. Caller holds BatchM.
+  size_t gatherRows(Session *const *Sessions, const NameId *ExtIds, int K);
+
   std::string ModelDir;
 
   mutable std::mutex NamesM;

@@ -401,6 +401,7 @@ bool SlModel::load(const std::string &Path) {
 RlModel::RlModel(ModelConfig C) : Model(KindTy::Reinforcement, std::move(C)) {
   if (Cfg.LearningRate > 0)
     QCfg.LearningRate = Cfg.LearningRate;
+  configureActors(1);
 }
 
 void RlModel::setQConfig(const nn::QConfig &C) {
@@ -422,8 +423,7 @@ RlModel::makeLearner(const ModelConfig &C, int InputSize, int Actions) const {
   };
   auto L = std::make_unique<nn::QLearner>(MakeNet, Actions, QCfg,
                                           C.Seed ^ 0x5eedu);
-  if (NumActorsCfg > 0)
-    L->configureActors(NumActorsCfg);
+  L->configureActors(NumActorsCfg);
   return L;
 }
 
@@ -435,11 +435,12 @@ void RlModel::build(int InputSize, const WriteBackSpec &Output) {
 }
 
 void RlModel::configureActors(int NumActors) {
-  assert(NumActors > 0 && "need at least one actor");
+  assert(NumActors > 0 && NumActors >= NumActorsCfg &&
+         "actor lanes only grow");
   NumActorsCfg = NumActors;
   ActorPrevStates.resize(static_cast<size_t>(NumActors));
-  ActorPrevActions.assign(static_cast<size_t>(NumActors), -1);
-  ActorHavePrev.assign(static_cast<size_t>(NumActors), 0);
+  ActorPrevActions.resize(static_cast<size_t>(NumActors), -1);
+  ActorHavePrev.resize(static_cast<size_t>(NumActors), 0);
   if (Built)
     Learner->configureActors(NumActors);
 }
@@ -456,8 +457,8 @@ void RlModel::stepActors(const float *States, int K, int D,
          "learning step must cover every configured actor");
 
   // Observe each actor's completed transition in actor order, then advance
-  // the global training schedule exactly once for the whole tick — the
-  // batched analogue of the serial observe-then-select step.
+  // the global training schedule exactly once for the whole tick, before
+  // the next actions are selected.
   if (Learning) {
     int Observed = 0;
     for (int A = 0; A < K; ++A) {
@@ -490,46 +491,6 @@ void RlModel::stepActors(const float *States, int K, int D,
     ActorPrevActions[static_cast<size_t>(A)] = ActionsOut[A];
     ActorHavePrev[static_cast<size_t>(A)] = 1;
   }
-}
-
-int RlModel::step(const std::vector<float> &State, float Reward, bool Terminal,
-                  const WriteBackSpec &Output, bool Learning) {
-  if (!Built)
-    build(static_cast<int>(State.size()), Output);
-  return stepBuilt(State, Reward, Terminal, Output.Size, Learning);
-}
-
-int RlModel::stepBuilt(const std::vector<float> &State, float Reward,
-                       bool Terminal, int NumActions, bool Learning) {
-  assert(Built && "stepBuilt on an unbuilt RL model");
-  assert(static_cast<int>(State.size()) == InSize &&
-         "extracted state size changed between steps");
-  assert(NumActions == Outs.front().Size && "action count changed");
-  (void)NumActions;
-
-  if (HavePrev && Learning)
-    // PrevState is dead after this observe (reassigned or invalidated
-    // below), so hand its buffer to the replay ring instead of copying.
-    Learner->observe(std::move(PrevState), PrevAction, Reward, State,
-                     Terminal);
-
-  if (Terminal) {
-    // The episode ended at this state; do not chain the next transition
-    // across the au_restore rollback that follows.
-    if (Learning)
-      HavePrev = false;
-    return Learner->selectAction(State, Learning);
-  }
-
-  int Action = Learner->selectAction(State, Learning);
-  if (Learning) {
-    // Deployment-mode steps (e.g. evaluations interleaved with training)
-    // must not disturb the training transition chain.
-    PrevState = State;
-    PrevAction = Action;
-    HavePrev = true;
-  }
-  return Action;
 }
 
 std::vector<float> RlModel::qValues(const std::vector<float> &State) {

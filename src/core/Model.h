@@ -14,7 +14,9 @@
 /// Two concrete kinds realize the two algorithms: SlModel (AdamOpt
 /// regression over collected (feature, target) samples, trained offline
 /// after execution) and RlModel (online Q-learning driven by the au_NN
-/// reward/terminal arguments). Dispatch uses an LLVM-style kind tag.
+/// reward/terminal arguments). An RlModel has one au_NN step, stepActors
+/// over K actor lanes; a single session's au_NN is its one-lane case.
+/// Dispatch uses an LLVM-style kind tag.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -178,36 +180,26 @@ public:
     return M->kind() == KindTy::Reinforcement;
   }
 
-  /// One au_NN step: feeds the completed transition (previous state/action,
-  /// \p Reward, \p Terminal) to the learner when training, then selects the
-  /// next action for \p State. Builds the network on first use from
-  /// \p State's size and \p Output's action count. Terminal steps clear the
-  /// episode bookkeeping so a following au_restore starts cleanly.
-  int step(const std::vector<float> &State, float Reward, bool Terminal,
-           const WriteBackSpec &Output, bool Learning);
-
-  /// Hot-path step for an already built model: identical to step() but
-  /// takes only the action count, so the handle-keyed au_NN never
-  /// constructs a string spec per iteration.
-  int stepBuilt(const std::vector<float> &State, float Reward, bool Terminal,
-                int NumActions, bool Learning);
-
-  /// Enters K-actor mode: gives each actor its own transition chain and
-  /// shards the learner's replay per actor (DESIGN.md §8). May be called
-  /// before the model is built; the learner is configured at build time.
+  /// Grows the model to \p NumActors actor lanes, each with its own
+  /// transition chain, and shards the learner's replay per actor
+  /// (DESIGN.md §8). Every model starts with one lane, the one a single
+  /// session's au_NN steps. May be called before the model is built; the
+  /// learner is configured at build time.
   void configureActors(int NumActors);
 
   int numActors() const { return NumActorsCfg; }
 
-  /// One fused au_NN step for \p K concurrent actors. \p States holds the
-  /// K extracted states back to back (K x D row-major); \p Rewards and
-  /// \p Terminals are per-actor. Per-actor completed transitions are
-  /// observed in actor order, one finishTick advances the global training
-  /// schedule, and all K action selections run as a single batched forward;
-  /// \p ActionsOut receives the K chosen actions. Builds the network on
-  /// first use from \p D and \p Output. When \p Learning, K must equal the
-  /// configured actor count; deployment-mode calls (evaluation) may use any
-  /// K and never disturb the training chains.
+  /// The one RL au_NN step, for \p K concurrent actors (K = 1 for a single
+  /// session). \p States holds the K extracted states back to back (K x D
+  /// row-major); \p Rewards and \p Terminals are per-actor. Per-actor
+  /// completed transitions are observed in actor order, one finishTick
+  /// advances the global training schedule, and the K action selections
+  /// share one batched forward; \p ActionsOut receives the K chosen
+  /// actions. Terminal states end their lane's chain, so a following
+  /// au_restore starts cleanly. Builds the network on first use from \p D
+  /// and \p Output. When \p Learning, K must equal the configured actor
+  /// count; deployment-mode calls (evaluation) may use any K and never
+  /// disturb the training chains.
   void stepActors(const float *States, int K, int D, const float *Rewards,
                   const uint8_t *Terminals, const WriteBackSpec &Output,
                   bool Learning, int *ActionsOut);
@@ -235,11 +227,7 @@ private:
 
   std::unique_ptr<nn::QLearner> Learner;
   nn::QConfig QCfg;
-  std::vector<float> PrevState;
-  int PrevAction = -1;
-  bool HavePrev = false;
-  // K-actor mode: one transition chain per actor (the serial chain above is
-  // untouched, so serial and batched stepping can coexist on one model).
+  // One transition chain per actor lane.
   int NumActorsCfg = 0;
   std::vector<std::vector<float>> ActorPrevStates;
   std::vector<int> ActorPrevActions;

@@ -112,8 +112,8 @@ void Session::nn(NameId ModelId, NameId ExtId,
   assert(SlModel::classof(M) && "supervised au_NN form on an RL model");
   assert(!Outputs.empty() && "au_NN must declare at least one output");
 
-  SerializedView V = Db.view(ExtId);
-  assert(V.size() > 0 && "au_NN with an empty feature list");
+  Db.view(ExtId, NnView);
+  assert(NnView.size() > 0 && "au_NN with an empty feature list");
 
   for (const WriteBackHandle &O : Outputs)
     setWbOwner(O.Name, ModelId);
@@ -123,8 +123,8 @@ void Session::nn(NameId ModelId, NameId ExtId,
     // through the write-backs of this loop iteration.
     PendingSample P;
     P.ModelId = ModelId;
-    P.X.resize(V.size());
-    V.copyTo(P.X.data());
+    P.X.resize(NnView.size());
+    NnView.copyTo(P.X.data());
     P.Outputs = Outputs;
     Pending.push_back(std::move(P));
   } else {
@@ -133,8 +133,8 @@ void Session::nn(NameId ModelId, NameId ExtId,
     // inference the row is served from this session's replica of the
     // engine's latest published snapshot; otherwise (and while nothing is
     // published) from the live model, exactly as before the split.
-    NnStaging.resize(V.size());
-    V.copyTo(NnStaging.data());
+    NnStaging.resize(NnView.size());
+    NnView.copyTo(NnStaging.data());
     if (!(SharedInference &&
           predictShared(ModelId, NnStaging.data(), /*Rows=*/1, NnOut)))
       Sl->predictRows(NnStaging.data(), /*Rows=*/1, NnOut);
@@ -158,62 +158,25 @@ void Session::nn(NameId ModelId, NameId ExtId, float Reward, bool Terminal,
   assert(RlModel::classof(M) && "RL au_NN form on a supervised model");
   auto *Rl = static_cast<RlModel *>(M);
 
-  SerializedView V = Db.view(ExtId);
-  assert(V.size() > 0 && "au_NN with an empty state list");
-  NnStaging.resize(V.size());
-  V.copyTo(NnStaging.data());
+  Db.view(ExtId, NnView);
+  assert(NnView.size() > 0 && "au_NN with an empty state list");
+  NnStaging.resize(NnView.size());
+  NnView.copyTo(NnStaging.data());
 
   setWbOwner(Output.Name, ModelId);
-  bool Learning = ExecMode == Mode::TR;
-  int Action;
-  if (M->isBuilt()) {
-    Action = Rl->stepBuilt(NnStaging, Reward, Terminal, Output.Size, Learning);
-  } else {
-    // First step: the model builds from the state size and the output's
-    // string spec (persistence stores output names). Cold path only.
-    WriteBackSpec Spec{Db.nameOf(Output.Name), Output.Size};
-    Action = Rl->step(NnStaging, Reward, Terminal, Spec, Learning);
-  }
+  // The one-lane case of the fused actor step (DESIGN.md §8). The output's
+  // string spec is only needed on the cold build path (persistence stores
+  // output names).
+  WriteBackSpec Spec{std::string(), Output.Size};
+  if (!M->isBuilt())
+    Spec.Name = Db.nameOf(Output.Name);
+  uint8_t Term = Terminal ? 1 : 0;
+  int Action = 0;
+  Rl->stepActors(NnStaging.data(), /*K=*/1, static_cast<int>(NnStaging.size()),
+                 &Reward, &Term, Spec, /*Learning=*/ExecMode == Mode::TR,
+                 &Action);
   float ActionF = static_cast<float>(Action);
   Db.set(Output.Name, &ActionF, 1);
-  Db.reset(ExtId);
-}
-
-void Session::nnBatch(NameId ModelId, NameId ExtId, int Rows,
-                      const std::vector<WriteBackHandle> &Outputs) {
-  ++Stats.NumNn;
-  assert(ExecMode == Mode::TS && "nnBatch is a deployment-mode primitive");
-  assert(Rows > 0 && "nnBatch of no rows");
-  Model *M = getModel(ModelId);
-  assert(M && "au_NN on an unconfigured model");
-  auto *Sl = static_cast<SlModel *>(M);
-  assert(SlModel::classof(M) && "supervised au_NN form on an RL model");
-  assert(!Outputs.empty() && "au_NN must declare at least one output");
-
-  SerializedView V = Db.view(ExtId);
-  assert(V.size() > 0 && V.size() % Rows == 0 &&
-         "pi[ExtId] does not hold Rows equal-size feature vectors");
-
-  for (const WriteBackHandle &O : Outputs)
-    setWbOwner(O.Name, ModelId);
-
-  NnStaging.resize(V.size());
-  V.copyTo(NnStaging.data());
-  if (!(SharedInference &&
-        predictShared(ModelId, NnStaging.data(), Rows, NnOut)))
-    Sl->predictRows(NnStaging.data(), Rows, NnOut);
-
-  const size_t NY = NnOut.size() / Rows;
-  size_t Offset = 0;
-  for (const WriteBackHandle &O : Outputs) {
-    assert(Offset + O.Size <= NY && "declared outputs exceed model");
-    ScatterBuf.resize(static_cast<size_t>(Rows) * O.Size);
-    for (int R = 0; R != Rows; ++R)
-      std::copy_n(NnOut.data() + R * NY + Offset, O.Size,
-                  ScatterBuf.data() + static_cast<size_t>(R) * O.Size);
-    Db.set(O.Name, ScatterBuf.data(), ScatterBuf.size());
-    Offset += O.Size;
-  }
   Db.reset(ExtId);
 }
 

@@ -222,13 +222,6 @@ public:
   void nn(NameId ModelId, NameId ExtId, float Reward, bool Terminal,
           const WriteBackHandle &Output);
 
-  /// Batched TS-mode au_NN: pi[ExtId] holds \p Rows feature vectors back to
-  /// back; one forwardBatch call predicts all of them and each declared
-  /// output receives its Rows x Size predictions concatenated row-major.
-  /// Deployment-mode only (TR samples are labeled per iteration).
-  void nnBatch(NameId ModelId, NameId ExtId, int Rows,
-               const std::vector<WriteBackHandle> &Outputs);
-
   /// au_write_back: Rule WRITE-BACK copies pi[Name] into the program
   /// variable. In TR mode, supervised outputs flow the opposite way: the
   /// program's current values are recorded as the training label.
@@ -353,12 +346,13 @@ private:
   /// NameId -> serving replica (only populated under shared inference).
   std::vector<std::unique_ptr<InferenceReplica>> Replicas;
 
-  // Reusable hot-path staging (DESIGN.md §7): model inputs gathered from
-  // serialize spans, batched predictions, per-output scatter, and numeric
-  // conversions. Capacity warms up once; the loop allocates nothing.
+  // Reusable hot-path staging (DESIGN.md §7): the span view of the model
+  // input, the inputs gathered from it, predictions, and numeric
+  // conversions. Capacity warms up once; the loop allocates nothing. The
+  // Engine's cross-session gathers fill each session's own NnView.
+  SerializedView NnView;
   std::vector<float> NnStaging;
   std::vector<float> NnOut;
-  std::vector<float> ScatterBuf;
   std::vector<float> ConvStaging;
 };
 

@@ -23,6 +23,8 @@
 
 #include "nn/Tensor.h"
 
+#include <cassert>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -36,6 +38,27 @@ struct ParamView {
   float *Values;
   float *Grads;
   size_t Count;
+};
+
+/// A layer's parameter tensors: none, or weights and bias. Held inline, so
+/// listing a layer's parameters never allocates (DQN target syncs walk
+/// them on the training hot path).
+class ParamList {
+public:
+  ParamList() = default;
+  ParamList(ParamView Weights, ParamView Bias) : Views{Weights, Bias}, N(2) {}
+
+  const ParamView *begin() const { return Views; }
+  const ParamView *end() const { return Views + N; }
+  size_t size() const { return N; }
+  const ParamView &operator[](size_t I) const {
+    assert(I < N && "parameter index out of range");
+    return Views[I];
+  }
+
+private:
+  ParamView Views[2] = {};
+  size_t N = 0;
 };
 
 /// Base class for all layers. Forward caches whatever backward needs, so a
@@ -65,7 +88,7 @@ public:
   virtual Tensor backwardBatch(const Tensor &GradOut) = 0;
 
   /// Parameter tensors (empty for stateless layers such as ReLU).
-  virtual std::vector<ParamView> params() { return {}; }
+  virtual ParamList params() { return {}; }
 
   /// Zeroes all gradient accumulators.
   void zeroGrads();

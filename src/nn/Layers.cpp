@@ -124,7 +124,7 @@ Tensor Dense::backwardBatch(const Tensor &GradOut) {
   return GI;
 }
 
-std::vector<ParamView> Dense::params() {
+ParamList Dense::params() {
   return {{W.data(), GW.data(), W.size()}, {B.data(), GB.data(), B.size()}};
 }
 
@@ -352,7 +352,7 @@ Tensor Conv2D::backwardBatch(const Tensor &GradOut) {
   return GradIn;
 }
 
-std::vector<ParamView> Conv2D::params() {
+ParamList Conv2D::params() {
   return {{W.data(), GW.data(), W.size()}, {B.data(), GB.data(), B.size()}};
 }
 

@@ -32,7 +32,7 @@ public:
   Tensor backward(const Tensor &GradOut) override;
   Tensor forwardBatch(const Tensor &In) override;
   Tensor backwardBatch(const Tensor &GradOut) override;
-  std::vector<ParamView> params() override;
+  ParamList params() override;
   std::string kind() const override { return "dense"; }
 
   int inSize() const { return In; }
@@ -87,7 +87,7 @@ public:
   Tensor backward(const Tensor &GradOut) override;
   Tensor forwardBatch(const Tensor &In) override;
   Tensor backwardBatch(const Tensor &GradOut) override;
-  std::vector<ParamView> params() override;
+  ParamList params() override;
   std::string kind() const override { return "conv2d"; }
 
   int inChannels() const { return InC; }

@@ -93,12 +93,16 @@ void Network::bumpParamGeneration() {
 }
 
 void Network::copyParamsFrom(Network &Other) {
-  std::vector<ParamView> Dst = params();
-  std::vector<ParamView> Src = Other.params();
-  assert(Dst.size() == Src.size() && "network architecture mismatch");
-  for (size_t I = 0, E = Dst.size(); I != E; ++I) {
-    assert(Dst[I].Count == Src[I].Count && "parameter tensor size mismatch");
-    std::memcpy(Dst[I].Values, Src[I].Values, Dst[I].Count * sizeof(float));
+  assert(Layers.size() == Other.Layers.size() &&
+         "network architecture mismatch");
+  for (size_t L = 0, E = Layers.size(); L != E; ++L) {
+    ParamList Dst = Layers[L]->params();
+    ParamList Src = Other.Layers[L]->params();
+    assert(Dst.size() == Src.size() && "network architecture mismatch");
+    for (size_t I = 0; I != Dst.size(); ++I) {
+      assert(Dst[I].Count == Src[I].Count && "parameter tensor size mismatch");
+      std::memcpy(Dst[I].Values, Src[I].Values, Dst[I].Count * sizeof(float));
+    }
   }
   bumpParamGeneration();
 }

@@ -78,8 +78,9 @@ public:
   /// (which bump it themselves).
   void bumpParamGeneration();
 
-  /// Copies parameter values from \p Other (architectures must match).
-  /// Used for DQN target-network synchronization.
+  /// Copies parameter values from \p Other (architectures must match),
+  /// walking the two networks' layers in pairs; allocates nothing. Used for
+  /// DQN target-network synchronization.
   void copyParamsFrom(Network &Other);
 
   /// Writes all parameters to a binary file; returns false on I/O failure.

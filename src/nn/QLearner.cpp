@@ -29,7 +29,7 @@ QLearner::QLearner(std::function<Network()> MakeNet, int Actions,
                    QConfig Config, uint64_t BaseSeed)
     : Online(MakeNet()), Target(MakeNet()), Opt(Online, Config.LearningRate),
       NumActions(Actions), Cfg(Config), Rand(BaseSeed), Seed(BaseSeed),
-      Eps(Config.EpsilonStart) {
+      Streams{Rng::stream(BaseSeed, 0)}, Eps(Config.EpsilonStart) {
   assert(NumActions > 1 && "Q-learning needs at least two actions");
   Target.copyParamsFrom(Online);
   Replay.configure(1, Cfg.ReplayCapacity);
@@ -44,35 +44,13 @@ std::vector<float> QLearner::qValues(const std::vector<float> &State) {
   return Q;
 }
 
-int QLearner::selectAction(const std::vector<float> &State, bool Learning) {
-  if (Learning && Rand.chance(Eps))
-    return static_cast<int>(Rand.uniformInt(NumActions));
-  return greedyAction(State);
-}
-
-int QLearner::greedyAction(const std::vector<float> &State) {
-  Tensor Out = forwardOne(Online, State);
-  int Act = static_cast<int>(Out.argmax());
-  Workspace::release(Out);
-  return Act;
-}
-
-void QLearner::observe(std::vector<float> State, int Action, float Reward,
-                       std::vector<float> NextState, bool Terminal) {
-  assert(Action >= 0 && Action < NumActions && "action out of range");
-  Replay.push(0, {std::move(State), Action, Reward, std::move(NextState),
-                  Terminal});
-  finishTick(1);
-}
-
 void QLearner::configureActors(int NumActors) {
-  assert(NumActors > 0 && "need at least one actor");
+  assert(NumActors >= numActors() && "actor lanes only grow");
   if (NumActors == numActors())
     return;
   Replay.configure(NumActors, Cfg.ReplayCapacity);
-  Streams.clear();
   Streams.reserve(static_cast<size_t>(NumActors));
-  for (int A = 0; A < NumActors; ++A)
+  for (int A = numActors(); A < NumActors; ++A)
     Streams.push_back(Rng::stream(Seed, static_cast<uint64_t>(A)));
 }
 
@@ -81,21 +59,31 @@ void QLearner::selectActionsBatch(const float *States, int K, int D,
   assert(K > 0 && D > 0 && "empty action-selection batch");
   assert((!Learning || K <= numActors()) &&
          "learning batch larger than configured actor count");
-  // One fused inference for all K actors. Exploration may discard some rows,
-  // but computing them keeps the batch shape fixed and the result a pure
-  // function of the states — no data-dependent batching.
+  // Exploration first, serially in actor order: actor k's draws always come
+  // from stream k, so the chosen actions are identical at any thread count.
+  // Greedy lanes are marked -1 until the forward fills them in.
+  bool AnyGreedy = false;
+  for (int A = 0; A < K; ++A) {
+    Actions[A] = -1;
+    if (Learning) {
+      Rng &Stream = Streams[static_cast<size_t>(A)];
+      if (Stream.chance(Eps))
+        Actions[A] = static_cast<int>(Stream.uniformInt(NumActions));
+    }
+    AnyGreedy = AnyGreedy || Actions[A] < 0;
+  }
+  if (!AnyGreedy)
+    return; // Every lane explores: a forward would be thrown away.
+  // One fused inference over all K rows. Exploring rows are computed and
+  // discarded, which keeps the batch shape fixed and each greedy action a
+  // pure function of its own state.
   if (ActStaging.size() != static_cast<size_t>(K) * D)
     ActStaging = Tensor({K, D});
   std::copy(States, States + static_cast<size_t>(K) * D, ActStaging.data());
   Tensor Out = Online.forwardBatch(ActStaging);
-  // Serial epsilon-greedy pass in actor order: actor k's draws always come
-  // from stream k, so the chosen actions are identical at any thread count.
   for (int A = 0; A < K; ++A) {
-    if (Learning && Streams[static_cast<size_t>(A)].chance(Eps)) {
-      Actions[A] = static_cast<int>(
-          Streams[static_cast<size_t>(A)].uniformInt(NumActions));
+    if (Actions[A] >= 0)
       continue;
-    }
     const float *Row = Out.sampleData(A);
     Actions[A] = static_cast<int>(
         std::max_element(Row, Row + NumActions) - Row);
@@ -117,9 +105,8 @@ void QLearner::finishTick(int Observed) {
   Steps += Observed;
   decaySchedules();
   // Run every training step and target sync that came due while the tick's
-  // transitions were recorded — the same schedule the serial path follows
-  // one step at a time. With TrainInterval == K (the vectorized-DQN
-  // schedule) exactly one minibatch runs per K-actor tick.
+  // transitions were recorded, in step order. With TrainInterval == K (the
+  // vectorized-DQN schedule) exactly one minibatch runs per K-actor tick.
   for (long S = Prev + 1; S <= Steps; ++S) {
     if (S >= Cfg.WarmupSteps && S % Cfg.TrainInterval == 0)
       trainStep();
@@ -130,7 +117,7 @@ void QLearner::finishTick(int Observed) {
 
 void QLearner::decaySchedules() {
   // Linear epsilon decay over the configured horizon. Pure function of the
-  // step count, so serial and K-actor runs agree at equal Steps.
+  // step count, so runs with any number of lanes agree at equal Steps.
   if (Eps > Cfg.EpsilonEnd) {
     double Frac = static_cast<double>(Steps) / Cfg.EpsilonDecaySteps;
     Eps = Cfg.EpsilonStart +
@@ -150,7 +137,6 @@ void QLearner::trainStep() {
   if (Replay.size() < static_cast<size_t>(Cfg.BatchSize))
     return;
   ++TrainSteps;
-  Online.zeroGrads();
   // Batched replay update: one forwardBatch over the target and online
   // networks instead of BatchSize scalar calls. The minibatch is drawn
   // with one Rand.uniformInt per row, and assembled straight into reused
@@ -192,5 +178,7 @@ void QLearner::trainStep() {
   Workspace::release(Pred);
   Tensor DIn = Online.backwardBatch(BatchGrad);
   Workspace::release(DIn);
+  // Adam clears every gradient it applies, so the next step starts from
+  // zero without a separate pass.
   Opt.step(1.0 / Cfg.BatchSize);
 }

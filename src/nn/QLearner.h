@@ -9,19 +9,16 @@
 /// experience replay and a target network — the setup of Mnih et al. that the
 /// paper's RL mode instantiates for `au_config(..., QLearn, ...)`).
 ///
-/// The runtime drives it through two calls per game-loop iteration:
-/// selectAction(state) during au_NN, and observe(reward, terminal, nextState)
-/// when the next au_NN arrives, matching the paper's "collect model
-/// inputs/outputs for a window of time, then invoke the training method".
-///
-/// The multi-actor mode (DESIGN.md §8) generalizes this to K concurrent
-/// rollouts: configureActors(K) shards the replay ring per actor and gives
-/// each actor its own counter-based exploration stream, selectActionsBatch
-/// fuses the K action selections into one forwardBatch, and
-/// observeActor/finishTick split the per-transition recording (safe from
-/// actor threads, disjoint shards) from the global training schedule (run
-/// once per tick on the driving thread). All of it is deterministic at any
-/// thread count.
+/// The runtime drives it through K actor lanes (DESIGN.md §8); a single
+/// session's au_NN is the K = 1 case. Each lane has its own counter-based
+/// exploration stream and its own replay shard. selectActionsBatch draws
+/// every lane's exploration, then fuses the greedy lanes' action selection
+/// into one forwardBatch; observeActor/finishTick split the per-transition
+/// recording (safe from actor threads, disjoint shards) from the global
+/// training schedule (run once per tick on the driving thread), matching
+/// the paper's "collect model inputs/outputs for a window of time, then
+/// invoke the training method". All of it is deterministic at any thread
+/// count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,37 +62,28 @@ public:
   QLearner(std::function<Network()> MakeNet, int NumActions, QConfig Config,
            uint64_t Seed);
 
-  /// Epsilon-greedy action for \p State; decays epsilon when \p Learning.
-  int selectAction(const std::vector<float> &State, bool Learning);
-
-  /// Greedy action (no exploration, no learning side effects).
-  int greedyAction(const std::vector<float> &State);
-
-  /// Records a completed transition and runs a training step when due. The
-  /// state vectors are taken by value and moved into the replay slot;
-  /// callers that no longer need them should std::move.
-  void observe(std::vector<float> State, int Action, float Reward,
-               std::vector<float> NextState, bool Terminal);
-
   /// Q-values for \p State from the online network.
   std::vector<float> qValues(const std::vector<float> &State);
 
   //===--------------------------------------------------------------------===//
-  // Multi-actor batched mode (DESIGN.md §8)
+  // Actor lanes (DESIGN.md §8)
   //===--------------------------------------------------------------------===//
 
-  /// Enters K-actor mode: the replay ring is resharded per actor (dropping
-  /// any stored transitions) and each actor gets its own counter-based
-  /// exploration stream. Grow-only; call before training begins.
+  /// Grows the learner to \p NumActors lanes: the replay ring is resharded
+  /// per actor (dropping any stored transitions) and each added actor gets
+  /// its own counter-based exploration stream. A learner starts with one
+  /// lane; call before training begins.
   void configureActors(int NumActors);
 
   int numActors() const { return static_cast<int>(Streams.size()); }
 
   /// Epsilon-greedy actions for \p K states of \p D floats each, held back
-  /// to back in \p States (K x D row-major), fused into one forwardBatch
-  /// over the online network. Exploration draws come from the per-actor
-  /// streams in actor order, so the result is independent of how the states
-  /// were produced. Does not decay epsilon; finishTick does.
+  /// to back in \p States (K x D row-major). When \p Learning, each lane's
+  /// exploration is drawn first, in actor order, from its own stream; the
+  /// greedy lanes then share one forwardBatch over the online network,
+  /// which is skipped when every lane explores. Deployment calls
+  /// (\p Learning false) may use any K. Does not decay epsilon; finishTick
+  /// does.
   void selectActionsBatch(const float *States, int K, int D, bool Learning,
                           int *Actions);
 
@@ -108,8 +96,8 @@ public:
 
   /// Completes one tick in which \p Observed transitions were recorded:
   /// advances the step count, decays epsilon / anneals the learning rate,
-  /// and runs every training step and target sync that came due — the same
-  /// schedule the serial observe() follows, applied once per tick.
+  /// and runs every training step and target sync that came due, in step
+  /// order.
   void finishTick(int Observed);
 
   double epsilon() const { return Eps; }
@@ -136,13 +124,14 @@ private:
   Rng Rand;
   uint64_t Seed;
   ShardedReplay Replay;
-  std::vector<Rng> Streams; ///< Per-actor exploration streams (K-actor mode).
+  std::vector<Rng> Streams; ///< Per-actor exploration streams, one per lane.
   double Eps;
   long Steps = 0;
   long TrainSteps = 0;
   // Reusable staging for the batched paths: minibatch tensors are assembled
   // straight from the replay ring and action selection reuses one input
-  // tensor, so the steady state allocates nothing per call.
+  // tensor, so the steady state allocates nothing per call. Rand draws the
+  // minibatches only; exploration comes from the lane streams.
   Tensor BatchStates, BatchNext, BatchGrad, ActStaging;
   std::vector<const Transition *> BatchPtrs;
 };

@@ -19,9 +19,8 @@
 ///    a pure function of what was inserted, never of which thread inserted
 ///    it first. Training draws identical minibatches at any thread count.
 ///
-/// With one shard this is exactly the FIFO the serial QLearner used: index
-/// i is the i-th oldest transition, and capacity overflow evicts the
-/// oldest.
+/// With one shard (a single session's lane) this is a plain FIFO: index i
+/// is the i-th oldest transition, and capacity overflow evicts the oldest.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,17 +75,11 @@ public:
 
   size_t shardSize(int S) const { return shard(S).Count; }
 
-  /// Records \p T into \p ShardIdx, evicting that shard's oldest transition
-  /// when the shard is full. Distinct shards may be pushed concurrently;
-  /// one shard must not.
-  void push(int ShardIdx, Transition T) {
-    Shard &S = shard(ShardIdx);
-    S.Ring[S.slotForPush(ShardCap)] = std::move(T);
-  }
-
-  /// push() without the temporary: copies the raw state buffers straight
-  /// into the slot's retained vectors, so the steady-state record makes no
-  /// allocations at all (the actor hot path).
+  /// Records one transition into \p ShardIdx, evicting that shard's oldest
+  /// transition when the shard is full. The raw state buffers are copied
+  /// straight into the slot's retained vectors, so the steady-state record
+  /// makes no allocations at all. Distinct shards may be written
+  /// concurrently; one shard must not.
   void emplace(int ShardIdx, const float *State, size_t StateLen, int Action,
                float Reward, const float *NextState, size_t NextLen,
                bool Terminal) {

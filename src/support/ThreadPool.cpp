@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
 
 using namespace au;
@@ -15,10 +17,14 @@ namespace {
 thread_local bool InParallelRegion = false;
 
 int defaultThreadCount() {
-  if (const char *Env = std::getenv("AU_NN_THREADS")) {
-    int N = std::atoi(Env);
-    if (N > 0)
-      return N;
+  const char *Env = std::getenv("AU_NN_THREADS");
+  if (Env && *Env) {
+    if (std::optional<int> N = ThreadPool::parseThreadCount(Env))
+      return *N;
+    std::fprintf(stderr,
+                 "AU_NN_THREADS=%s is not an integer in [1, %d]; "
+                 "using the default\n",
+                 Env, ThreadPool::MaxThreads);
   }
   unsigned HW = std::thread::hardware_concurrency();
   return HW > 0 ? static_cast<int>(HW) : 1;
@@ -28,6 +34,15 @@ std::mutex GlobalM;
 std::unique_ptr<ThreadPool> Global;
 
 } // namespace
+
+std::optional<int> ThreadPool::parseThreadCount(std::string_view Value) {
+  int N = 0;
+  const char *End = Value.data() + Value.size();
+  auto [Ptr, Ec] = std::from_chars(Value.data(), End, N);
+  if (Ec != std::errc() || Ptr != End || N < 1 || N > MaxThreads)
+    return std::nullopt;
+  return N;
+}
 
 ThreadPool::ThreadPool(int NumThreads) : Threads(std::max(1, NumThreads)) {
   // The calling thread participates in every loop it issues, but workers are

@@ -30,12 +30,13 @@
 ///    with a pairwise tree reduction in a fixed order, so floating-point
 ///    rounding is identical for 1, 2, or 64 threads.
 ///
-/// The global pool is sized by the AU_NN_THREADS environment variable
-/// (default: the hardware concurrency). Nested parallel regions execute
-/// inline on the calling thread: conv layers issue sgemm from inside their
-/// batch-parallel region, and the SL prefetch task (async) issues
-/// parallelFor from a worker, so re-entering the pool would deadlock it or
-/// oversubscribe it.
+/// The global pool's worker count comes from the AU_NN_THREADS environment
+/// variable, an integer in [1, MaxThreads]; any other value prints one
+/// stderr line and takes the default, the hardware concurrency. Nested
+/// parallel regions execute inline on the calling thread: conv layers issue
+/// sgemm from inside their batch-parallel region, and the SL prefetch task
+/// (async) issues parallelFor from a worker, so re-entering the pool would
+/// deadlock it or oversubscribe it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,6 +50,8 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <string_view>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -103,9 +106,10 @@ private:
 /// A fixed-size pool of worker threads executing chunked parallel loops.
 class ThreadPool {
 public:
-  /// Creates a pool that runs loop bodies on \p NumThreads threads total.
-  /// With NumThreads <= 1 no workers are spawned and every parallelFor runs
-  /// inline on the calling thread.
+  /// Creates a pool of \p NumThreads worker threads. The thread that issues
+  /// a parallelFor also runs chunks while it waits, so a dispatched region
+  /// runs on up to NumThreads + 1 threads. With NumThreads <= 1 no workers
+  /// are spawned and every parallelFor runs inline on the calling thread.
   explicit ThreadPool(int NumThreads);
   ~ThreadPool();
 
@@ -166,11 +170,19 @@ public:
   /// before returning, so passing a reference to a stack callable is safe.
   void parallelFor(size_t Begin, size_t End, size_t Grain, LoopBodyRef Body);
 
-  /// The process-wide pool, created on first use with AU_NN_THREADS threads
+  /// The process-wide pool, created on first use with AU_NN_THREADS workers
   /// (default: hardware concurrency).
   static ThreadPool &global();
 
-  /// Replaces the global pool with one of \p NumThreads threads. Must not
+  /// Largest AU_NN_THREADS value accepted.
+  static constexpr int MaxThreads = 256;
+
+  /// Parses an AU_NN_THREADS value: a decimal integer in [1, MaxThreads],
+  /// nothing else. Returns nullopt for anything else (the caller warns once
+  /// and takes the default).
+  static std::optional<int> parseThreadCount(std::string_view Value);
+
+  /// Replaces the global pool with one of \p NumThreads workers. Must not
   /// race with parallel work; intended for tests and benchmarks.
   static void setGlobalThreads(int NumThreads);
 

@@ -1,5 +1,6 @@
 //===- tests/CoreTest.cpp - Unit tests for the Autonomizer core ----------===//
 
+#include "OneLane.h"
 #include "core/Checkpoint.h"
 #include "core/DatabaseStore.h"
 #include "core/Engine.h"
@@ -197,7 +198,7 @@ static ModelConfig rlConfig(const char *Name) {
 TEST(RlModelTest, BuildsOnFirstStepAndActs) {
   RlModel M(rlConfig("q"));
   WriteBackSpec Out{"output", 3};
-  int A = M.step({0.1f, 0.2f}, 0.0f, false, Out, true);
+  int A = onelane::step(M, {0.1f, 0.2f}, 0.0f, false, Out, true);
   EXPECT_GE(A, 0);
   EXPECT_LT(A, 3);
   EXPECT_TRUE(M.isBuilt());
@@ -208,14 +209,14 @@ TEST(RlModelTest, BuildsOnFirstStepAndActs) {
 TEST(RlModelTest, DeploymentStepsDoNotDisturbChain) {
   RlModel M(rlConfig("q"));
   WriteBackSpec Out{"output", 2};
-  M.step({0.0f}, 0.0f, false, Out, true);
+  onelane::step(M, {0.0f}, 0.0f, false, Out, true);
   long StepsBefore = 0;
   // Several deployment (Learning=false) steps must not feed the learner.
-  M.step({0.3f}, 0.0f, false, Out, false);
-  M.step({0.6f}, 0.0f, false, Out, false);
+  onelane::step(M, {0.3f}, 0.0f, false, Out, false);
+  onelane::step(M, {0.6f}, 0.0f, false, Out, false);
   StepsBefore = M.learner()->stepsObserved();
   // The next learning step observes exactly one more transition.
-  M.step({1.0f}, 1.0f, false, Out, true);
+  onelane::step(M, {1.0f}, 1.0f, false, Out, true);
   EXPECT_EQ(M.learner()->stepsObserved(), StepsBefore + 1);
 }
 
@@ -224,7 +225,7 @@ TEST(RlModelTest, SaveLoadRoundTrip) {
   WriteBackSpec Out{"output", 4};
   Rng R(11);
   for (int I = 0; I < 30; ++I)
-    A.step({static_cast<float>(R.uniform())}, 0.1f, false, Out, true);
+    onelane::step(A, {static_cast<float>(R.uniform())}, 0.1f, false, Out, true);
   std::string Path = "/tmp/au_test_rl.aumodel";
   ASSERT_TRUE(A.save(Path));
 
@@ -535,7 +536,8 @@ TEST(DatabaseStoreTest, HandleSerializeIsLazyUntilRead) {
   NameId C = Db.serialize({A, B});
   EXPECT_EQ(Db.nameOf(C), "AB");
   // view() exposes spans over the source buffers — zero copies.
-  SerializedView V = Db.view(C);
+  SerializedView V;
+  Db.view(C, V);
   EXPECT_EQ(V.size(), 3u);
   ASSERT_EQ(V.numSpans(), 2u);
   EXPECT_EQ(V.spanData(0), Db.get(A).data());
@@ -610,7 +612,8 @@ TEST(DatabaseStoreTest, NestedSerializeFlattensToConcreteSpans) {
   NameId ABC = Db.serialize({AB, C});
   EXPECT_EQ(Db.nameOf(ABC), "ABC");
   // The outer entry's spans reference A and B directly, not the lazy AB.
-  SerializedView V = Db.view(ABC);
+  SerializedView V;
+  Db.view(ABC, V);
   ASSERT_EQ(V.numSpans(), 3u);
   EXPECT_EQ(V.spanData(0), Db.get(A).data());
   ASSERT_EQ(Db.get(ABC).size(), 3u);
@@ -664,44 +667,6 @@ TEST(RuntimeTest, StringAndHandleTracesAreEquivalent) {
   EXPECT_EQ(S.db().numEntries(), H.db().numEntries());
   EXPECT_EQ(S.db().totalValues(), H.db().totalValues());
   EXPECT_EQ(S.db().lifetimeAppended(), H.db().lifetimeAppended());
-}
-
-TEST(RuntimeTest, NnBatchMatchesScalarPredictions) {
-  Engine Eng;
-  Session RT(Eng, Mode::TR);
-  ModelConfig C;
-  C.Name = "m";
-  C.HiddenLayers = {16};
-  C.Seed = 33;
-  RT.config(C);
-  Rng R(34);
-  for (int I = 0; I < 80; ++I) {
-    float X = static_cast<float>(R.uniform(-1, 1));
-    RT.extract("F", X);
-    RT.nn("m", "F", {{"Y", 1}});
-    float Label = 3 * X - 1;
-    RT.writeBack("Y", 1, &Label);
-  }
-  RT.trainSupervised("m", 30, 16);
-  RT.switchMode(Mode::TS);
-
-  NameId M = RT.intern("m"), F = RT.intern("F"), Y = RT.intern("Y");
-  const int Rows = 6;
-  float Xs[Rows] = {-0.9f, -0.3f, 0.0f, 0.2f, 0.6f, 1.0f};
-
-  float Scalar[Rows];
-  for (int I = 0; I < Rows; ++I) {
-    RT.extract(F, Xs[I]);
-    RT.nn(M, F, {{Y, 1}});
-    RT.writeBack(Y, 1, &Scalar[I]);
-  }
-
-  RT.extract(F, Rows, Xs); // All rows back to back.
-  RT.nnBatch(M, F, Rows, {{Y, 1}});
-  float Batched[Rows];
-  RT.writeBack(Y, Rows, Batched);
-  for (int I = 0; I < Rows; ++I)
-    EXPECT_FLOAT_EQ(Batched[I], Scalar[I]) << "row " << I;
 }
 
 TEST(CheckpointTest, DirtyTrackingStressBitIdentical) {

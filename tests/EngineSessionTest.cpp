@@ -2,17 +2,23 @@
 //
 // The Engine/Session split of DESIGN.md §10: store-divergence detection,
 // replica/live prediction equivalence, the cross-session inference
-// batcher, and a multi-tenant stress test with concurrent TS readers under
-// a live TR trainer. The stress test doubles as a race detector under the
-// TSan CI job.
+// batcher (also with rows wide enough that its gather goes to the pool),
+// the one RL au_NN step shared by a single session and the fleet
+// batcher (and its allocation-free steady state), and a multi-tenant
+// stress test with concurrent TS readers under a live TR trainer. The
+// stress test doubles as a race detector under the TSan CI job.
 //
 //===----------------------------------------------------------------------===//
 
+#include "HeapCounter.h"
 #include "core/Engine.h"
+#include "support/Rng.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -158,6 +164,189 @@ TEST(EngineSession, NnBatchSessionsMatchesPerSessionCalls) {
     // Each session counted its own au_NN.
     EXPECT_EQ(Batch[static_cast<size_t>(S)]->stats().NumNn, 1u);
   }
+}
+
+TEST(EngineSession, DispatchedGatherMatchesPerSessionCalls) {
+  // Rows wide enough that the cross-session gather goes to the pool (two
+  // full chunks of MinChunkWork floats over 8 sessions), so concurrent
+  // chunks fill distinct sessions' views; under TSan this watches them.
+  constexpr int K = 8;
+  const int Wide = static_cast<int>(ThreadPool::MinChunkWork / 4);
+  ASSERT_GE(K / ThreadPool::grainFor(static_cast<size_t>(Wide)), 2u);
+  Engine Eng;
+  Session Trainer(Eng, Mode::TR);
+  ModelConfig Cfg;
+  Cfg.Name = "wide";
+  Cfg.HiddenLayers = {4};
+  Cfg.Seed = 7;
+  Trainer.config(Cfg);
+  NameId ModelId = Trainer.intern("wide");
+  NameId Feat = Trainer.intern("feat");
+  WriteBackHandle Out{Trainer.intern("out"), 1};
+  auto Row = [&](int Tag) {
+    std::vector<float> X(static_cast<size_t>(Wide));
+    for (int J = 0; J < Wide; ++J)
+      X[static_cast<size_t>(J)] =
+          0.001f * static_cast<float>((J * 7 + Tag) % 97);
+    return X;
+  };
+  for (int I = 0; I < 2; ++I) {
+    std::vector<float> X = Row(I);
+    Trainer.extract(Feat, X.size(), X.data());
+    Trainer.nn(ModelId, Feat, {Out});
+    float Label = static_cast<float>(I);
+    Trainer.writeBack(Out.Name, 1, &Label);
+  }
+  Trainer.trainSupervised("wide", /*Epochs=*/1, /*BatchSize=*/2);
+
+  std::vector<std::unique_ptr<Session>> Batch;
+  std::vector<Session *> Ptrs;
+  std::vector<NameId> ExtIds(K, Feat);
+  for (int S = 0; S < K; ++S) {
+    Batch.push_back(std::make_unique<Session>(Eng, Mode::TS));
+    Ptrs.push_back(Batch.back().get());
+    std::vector<float> X = Row(S);
+    Batch.back()->extract(Feat, X.size(), X.data());
+  }
+  Eng.nnBatchSessions(ModelId, Ptrs.data(), ExtIds.data(), K, {Out});
+
+  for (int S = 0; S < K; ++S) {
+    float FromBatch = 0.0f, FromSingle = 0.0f;
+    Batch[static_cast<size_t>(S)]->writeBack(Out.Name, 1, &FromBatch);
+    Session Single(Eng, Mode::TS);
+    std::vector<float> X = Row(S);
+    Single.extract(Feat, X.size(), X.data());
+    Single.nn(ModelId, Feat, {Out});
+    Single.writeBack(Out.Name, 1, &FromSingle);
+    EXPECT_EQ(FromSingle, FromBatch) << "session " << S;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// One RL au_NN step (DESIGN.md §8)
+//===----------------------------------------------------------------------===//
+
+namespace {
+constexpr int RlDim = 3;
+constexpr int RlActions = 3;
+
+/// Configures a small Q-learning model "agent" in \p S that starts training
+/// after 32 steps, so a few hundred steps cover exploration, minibatch
+/// training and target syncs.
+RlModel *configureAgent(Session &S, int ReplayCapacity) {
+  ModelConfig C;
+  C.Name = "agent";
+  C.Algo = Algorithm::QLearn;
+  C.HiddenLayers = {8};
+  C.Seed = 17;
+  auto *M = static_cast<RlModel *>(S.config(C));
+  nn::QConfig Q;
+  Q.WarmupSteps = 32;
+  Q.BatchSize = 8;
+  Q.ReplayCapacity = ReplayCapacity;
+  Q.EpsilonDecaySteps = 300;
+  Q.TargetSyncInterval = 50;
+  M->setQConfig(Q);
+  return M;
+}
+} // namespace
+
+TEST(EngineSession, SingleSessionRlStepIsTheOneLaneFleetStep) {
+  // A single session's TR loop through Session::nn and a K = 1 fleet loop
+  // through Engine::nnRlSessions, fed the same states, rewards and
+  // terminals, are one computation: the same action at every step and
+  // bit-identical Q-values at the end.
+  constexpr int Steps = 400;
+  Rng Data(91);
+  std::vector<float> States(static_cast<size_t>(Steps) * RlDim);
+  std::vector<float> Rewards(Steps);
+  std::vector<uint8_t> Terms(Steps);
+  for (float &X : States)
+    X = static_cast<float>(Data.uniform(-1, 1));
+  for (int I = 0; I < Steps; ++I) {
+    Rewards[static_cast<size_t>(I)] = static_cast<float>(Data.uniform(-1, 1));
+    Terms[static_cast<size_t>(I)] = Data.chance(0.05) ? 1 : 0;
+  }
+
+  Engine SoloEng, FleetEng;
+  Session Solo(SoloEng, Mode::TR), Lane(FleetEng, Mode::TR);
+  RlModel *SoloModel = configureAgent(Solo, /*ReplayCapacity=*/1000);
+  RlModel *FleetModel = configureAgent(Lane, /*ReplayCapacity=*/1000);
+  FleetModel->configureActors(1); // As trainRlParallel sizes its lanes.
+  NameId SoloId = Solo.intern("agent"), SoloX = Solo.intern("x");
+  WriteBackHandle SoloOut{Solo.intern("act"), RlActions};
+  NameId FleetId = Lane.intern("agent"), FleetX = Lane.intern("x");
+  WriteBackHandle FleetOut{Lane.intern("act"), RlActions};
+  Session *LanePtr = &Lane;
+
+  for (int I = 0; I < Steps; ++I) {
+    size_t SI = static_cast<size_t>(I);
+    const float *Row = States.data() + SI * RlDim;
+    Solo.extract(SoloX, RlDim, Row);
+    Solo.nn(SoloId, SoloX, Rewards[SI], Terms[SI] != 0, SoloOut);
+    int SoloAction = -1;
+    Solo.writeBack(SoloOut.Name, RlActions, &SoloAction);
+
+    Lane.extract(FleetX, RlDim, Row);
+    FleetEng.nnRlSessions(FleetId, &LanePtr, &FleetX, &Rewards[SI],
+                          &Terms[SI], /*K=*/1, FleetOut, /*Learning=*/true);
+    int FleetAction = -1;
+    Lane.writeBack(FleetOut.Name, RlActions, &FleetAction);
+    ASSERT_EQ(SoloAction, FleetAction) << "step " << I;
+  }
+
+  ASSERT_GT(SoloModel->learner()->trainStepsRun(), 0);
+  EXPECT_EQ(SoloModel->learner()->stepsObserved(),
+            FleetModel->learner()->stepsObserved());
+  for (float P : {-0.5f, 0.0f, 0.7f}) {
+    std::vector<float> Probe(RlDim, P);
+    EXPECT_EQ(SoloModel->qValues(Probe), FleetModel->qValues(Probe))
+        << "probe " << P;
+  }
+}
+
+TEST(EngineSession, WarmRlTrainingLoopAllocatesNothing) {
+  // DESIGN.md §7: once warm, a TR loop's RL au_NN (gather, exploration,
+  // recording into the wrapped replay ring, minibatch training and target
+  // syncs) allocates nothing.
+  Engine Eng;
+  Session S(Eng, Mode::TR);
+  RlModel *M = configureAgent(S, /*ReplayCapacity=*/500);
+  NameId ModelId = S.intern("agent");
+  std::vector<NameId> Parts = {S.intern("px"), S.intern("py"),
+                               S.intern("pz")};
+  WriteBackHandle Out{S.intern("act"), RlActions};
+
+  auto Step = [&](int I) {
+    for (size_t J = 0; J != Parts.size(); ++J)
+      S.extract(Parts[J], std::sin(0.1f * static_cast<float>(I) +
+                                   static_cast<float>(J)));
+    NameId Ext = S.serialize(Parts);
+    S.nn(ModelId, Ext, /*Reward=*/std::cos(0.3f * static_cast<float>(I)),
+         /*Terminal=*/I % 50 == 49, Out);
+    int Action = -1;
+    S.writeBack(Out.Name, RlActions, &Action);
+  };
+
+  // 600 steps: the 500-transition ring has wrapped and every buffer has
+  // reached its high-water mark.
+  for (int I = 0; I < 600; ++I)
+    Step(I);
+  // Guards against the counting operators not being linked in, which would
+  // make the assertion below pass vacuously.
+  ASSERT_GT(heapAllocs(), 0);
+  long ObservedBefore = M->learner()->stepsObserved();
+  long TrainedBefore = M->learner()->trainStepsRun();
+
+  long Before = heapAllocs();
+  for (int I = 600; I < 800; ++I)
+    Step(I);
+  long Allocs = heapAllocs() - Before;
+
+  EXPECT_EQ(Allocs, 0);
+  // The measured window trained and crossed a target sync.
+  EXPECT_GT(M->learner()->trainStepsRun(), TrainedBefore);
+  EXPECT_NE(ObservedBefore / 50, M->learner()->stepsObserved() / 50);
 }
 
 //===----------------------------------------------------------------------===//

@@ -8,6 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "OneLane.h"
 #include "apps/flappy/Flappy.h"
 #include "core/Engine.h"
 #include "nn/Layers.h"
@@ -64,7 +65,7 @@ TEST(CustomNetworkTest, ReinforcementModelUsesCallback) {
     return nn::buildDnn(In, {6, 6, 6}, Out, R);
   };
   RlModel M(C);
-  int A = M.step({0.1f, 0.2f}, 0.0f, false, {"output", 3}, true);
+  int A = onelane::step(M, {0.1f, 0.2f}, 0.0f, false, {"output", 3}, true);
   EXPECT_GE(A, 0);
   EXPECT_LT(A, 3);
   // (In=2 -> 6 -> 6 -> 6 -> 3): (12+6) + (36+6)*2 + (18+3) = 123 params.
@@ -279,16 +280,16 @@ TEST(RlChainTest, TerminalBreaksTheTransitionChain) {
   RlModel M(C);
   WriteBackSpec Out{"output", 2};
   // Episode 1: three steps then terminal.
-  M.step({0.1f}, 0.0f, false, Out, true);
-  M.step({0.2f}, 0.5f, false, Out, true);
-  M.step({0.3f}, 0.5f, true, Out, true); // Terminal observation.
+  onelane::step(M, {0.1f}, 0.0f, false, Out, true);
+  onelane::step(M, {0.2f}, 0.5f, false, Out, true);
+  onelane::step(M, {0.3f}, 0.5f, true, Out, true); // Terminal observation.
   long AfterEp1 = M.learner()->stepsObserved();
   EXPECT_EQ(AfterEp1, 2);
   // Episode 2 (after au_restore): the first step must NOT observe a
   // transition linking across the rollback.
-  M.step({0.1f}, 0.0f, false, Out, true);
+  onelane::step(M, {0.1f}, 0.0f, false, Out, true);
   EXPECT_EQ(M.learner()->stepsObserved(), AfterEp1);
-  M.step({0.2f}, 0.5f, false, Out, true);
+  onelane::step(M, {0.2f}, 0.5f, false, Out, true);
   EXPECT_EQ(M.learner()->stepsObserved(), AfterEp1 + 1);
 }
 
@@ -310,7 +311,7 @@ TEST(LrAnnealTest, RateDecaysTowardConfiguredEnd) {
       2, Cfg, 10);
   std::vector<float> S = {0.0f};
   for (int I = 0; I < 200; ++I) // Well past 2x the epsilon horizon.
-    Q.observe(S, 0, 0.0f, S, false);
+    onelane::observe(Q, S, 0, 0.0f, S, false);
   // No direct accessor for the optimizer rate; instead verify stability:
   // the annealed learner's parameters stay finite and the schedule code
   // ran without assertion. (The behavioral effect is covered by the

@@ -530,6 +530,23 @@ TEST_F(NnKernelsTest, BackendParserAcceptsOnlyEngineNames) {
 }
 
 //===----------------------------------------------------------------------===//
+// AU_NN_THREADS parsing (the parser alone: no pool is built from a value)
+//===----------------------------------------------------------------------===//
+
+TEST_F(NnKernelsTest, ThreadCountParserAcceptsOnlyIntegersInRange) {
+  EXPECT_EQ(ThreadPool::parseThreadCount("1"), 1);
+  EXPECT_EQ(ThreadPool::parseThreadCount("4"), 4);
+  EXPECT_EQ(ThreadPool::parseThreadCount("256"), ThreadPool::MaxThreads);
+  // Trailing junk, non-numbers, zero, negatives, signs, whitespace, values
+  // above the ceiling and values past int range are all rejected; the env
+  // reader then warns and takes the default.
+  for (const char *Bad : {"4x", "abc", "", "0", "-2", "+4", " 4", "4 ", "257",
+                          "100000", "99999999999999999999", "1.5"})
+    EXPECT_EQ(ThreadPool::parseThreadCount(Bad), std::nullopt)
+        << '"' << Bad << '"';
+}
+
+//===----------------------------------------------------------------------===//
 // Cross-backend layer equivalence (blocked and simd vs the scalar oracle)
 //===----------------------------------------------------------------------===//
 

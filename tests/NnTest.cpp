@@ -1,5 +1,6 @@
 //===- tests/NnTest.cpp - Unit tests for the NN substrate ----------------===//
 
+#include "OneLane.h"
 #include "nn/Gemm.h"
 #include "nn/Layers.h"
 #include "nn/Loss.h"
@@ -428,11 +429,11 @@ TEST(QLearnerTest, SolvesTwoArmedBandit) {
       2, Cfg, 63);
   std::vector<float> S = {1.0f};
   for (int I = 0; I < 800; ++I) {
-    int A = Q.selectAction(S, true);
+    int A = onelane::selectAction(Q, S, true);
     float Reward = A == 1 ? 1.0f : -1.0f;
-    Q.observe(S, A, Reward, S, false);
+    onelane::observe(Q, S, A, Reward, S, false);
   }
-  EXPECT_EQ(Q.greedyAction(S), 1);
+  EXPECT_EQ(onelane::selectAction(Q, S, false), 1);
   std::vector<float> Qs = Q.qValues(S);
   EXPECT_GT(Qs[1], Qs[0]);
 }
@@ -453,12 +454,12 @@ TEST(QLearnerTest, LearnsStateDependentPolicy) {
   for (int I = 0; I < 1500; ++I) {
     bool InA = R.chance(0.5);
     std::vector<float> S = {InA ? 0.0f : 1.0f};
-    int A = Q.selectAction(S, true);
+    int A = onelane::selectAction(Q, S, true);
     float Reward = (InA ? A == 0 : A == 1) ? 1.0f : -1.0f;
-    Q.observe(S, A, Reward, S, true);
+    onelane::observe(Q, S, A, Reward, S, true);
   }
-  EXPECT_EQ(Q.greedyAction({0.0f}), 0);
-  EXPECT_EQ(Q.greedyAction({1.0f}), 1);
+  EXPECT_EQ(onelane::selectAction(Q, {0.0f}, false), 0);
+  EXPECT_EQ(onelane::selectAction(Q, {1.0f}, false), 1);
 }
 
 TEST(QLearnerTest, EpsilonDecaysToFloor) {
@@ -475,7 +476,7 @@ TEST(QLearnerTest, EpsilonDecaysToFloor) {
       2, Cfg, 68);
   std::vector<float> S = {0.0f};
   for (int I = 0; I < 200; ++I)
-    Q.observe(S, 0, 0.0f, S, false);
+    onelane::observe(Q, S, 0, 0.0f, S, false);
   EXPECT_NEAR(Q.epsilon(), 0.1, 1e-9);
 }
 
@@ -491,7 +492,7 @@ TEST(QLearnerTest, ReplayCapacityBounded) {
       2, Cfg, 70);
   std::vector<float> S = {0.0f};
   for (int I = 0; I < 200; ++I)
-    Q.observe(S, 0, 0.0f, S, false);
+    onelane::observe(Q, S, 0, 0.0f, S, false);
   EXPECT_EQ(Q.replaySize(), 50u);
 }
 
@@ -499,7 +500,7 @@ TEST(QLearnerTest, BatchedReplayUpdateMatchesPerSampleReference) {
   // The batched trainStep against a per-sample DQN update: the same
   // minibatch draws, per-sample Huber-at-action gradients through the
   // scalar Network::forward/backward, Adam, and target syncs on the same
-  // schedule. Only observe() is called, so the learner's Rand(Seed) feeds
+  // schedule. Only observations are made, so the learner's Rand(Seed) feeds
   // minibatch draws alone and the reference can replay them over a replay
   // that never wraps (index I is the I-th observed transition).
   QConfig Cfg;
@@ -542,7 +543,7 @@ TEST(QLearnerTest, BatchedReplayUpdateMatchesPerSampleReference) {
     setBackend(B);
     QLearner Q(MakeNet, Actions, Cfg, Seed);
     for (const Step &T : Data)
-      Q.observe(T.State, T.Action, T.Reward, T.Next, T.Terminal);
+      onelane::observe(Q, T.State, T.Action, T.Reward, T.Next, T.Terminal);
 
     Network Online = MakeNet(), Target = MakeNet();
     Target.copyParamsFrom(Online);

@@ -22,16 +22,19 @@
 using namespace au;
 using namespace au::apps;
 using nn::ShardedReplay;
-using nn::Transition;
 
 //===----------------------------------------------------------------------===//
 // Sharded replay ring
 //===----------------------------------------------------------------------===//
 
 namespace {
-Transition makeT(float Tag) {
-  return Transition{{Tag, Tag + 0.5f}, static_cast<int>(Tag), Tag * 10.0f,
-                    {Tag + 1.0f, Tag + 1.5f}, false};
+/// Records a transition tagged \p Tag into \p Shard: state {Tag, Tag+.5},
+/// action Tag, reward 10 Tag, next state {Tag+1, Tag+1.5}.
+void pushT(ShardedReplay &R, int Shard, float Tag) {
+  const float State[] = {Tag, Tag + 0.5f};
+  const float Next[] = {Tag + 1.0f, Tag + 1.5f};
+  R.emplace(Shard, State, 2, static_cast<int>(Tag), Tag * 10.0f, Next, 2,
+            /*Terminal=*/false);
 }
 } // namespace
 
@@ -39,7 +42,7 @@ TEST(ReplayRing, SingleShardIsFifoWithWraparound) {
   ShardedReplay R;
   R.configure(/*NumShards=*/1, /*Capacity=*/4);
   for (int I = 0; I < 6; ++I)
-    R.push(0, makeT(static_cast<float>(I)));
+    pushT(R, 0, static_cast<float>(I));
   // Pushes 0..5 into capacity 4: the two oldest are evicted.
   ASSERT_EQ(R.size(), 4u);
   for (size_t I = 0; I < 4; ++I) {
@@ -54,11 +57,11 @@ TEST(ReplayRing, MergedViewIsShardMajorOldestFirst) {
   // Interleave insertions across shards; the merged view must depend only
   // on what landed in each shard, in age order, never on insertion
   // interleaving.
-  R.push(2, makeT(20));
-  R.push(0, makeT(0));
-  R.push(1, makeT(10));
-  R.push(0, makeT(1));
-  R.push(2, makeT(21));
+  pushT(R, 2, 20);
+  pushT(R, 0, 0);
+  pushT(R, 1, 10);
+  pushT(R, 0, 1);
+  pushT(R, 2, 21);
   ASSERT_EQ(R.size(), 5u);
   const float Expect[] = {0, 1, 10, 20, 21};
   for (size_t I = 0; I < 5; ++I)
@@ -70,8 +73,8 @@ TEST(ReplayRing, PerShardCapacityEvictsOldest) {
   R.configure(/*NumShards=*/2, /*Capacity=*/4); // 2 slots per shard.
   EXPECT_EQ(R.shardCapacity(), 2u);
   for (int I = 0; I < 3; ++I)
-    R.push(0, makeT(static_cast<float>(I)));
-  R.push(1, makeT(50));
+    pushT(R, 0, static_cast<float>(I));
+  pushT(R, 1, 50);
   // Shard 0 overflowed: transition 0 evicted, 1 and 2 remain; shard 1
   // holds one.
   EXPECT_EQ(R.shardSize(0), 2u);
@@ -110,7 +113,7 @@ TEST(ReplayRing, ReconfigureDropsContentsAndResplits) {
   ShardedReplay R;
   R.configure(1, 8);
   for (int I = 0; I < 5; ++I)
-    R.push(0, makeT(static_cast<float>(I)));
+    pushT(R, 0, static_cast<float>(I));
   R.configure(4, 8);
   EXPECT_EQ(R.size(), 0u);
   EXPECT_EQ(R.numShards(), 4);

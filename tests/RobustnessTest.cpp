@@ -6,6 +6,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "OneLane.h"
 #include "apps/arkanoid/Arkanoid.h"
 #include "apps/breakout/Breakout.h"
 #include "apps/canny/Canny.h"
@@ -135,9 +136,9 @@ TEST(PersistenceRobustness, FailedLoadLeavesRlModelUnchanged) {
   M.setQConfig(Q);
   Rng R(5);
   for (int I = 0; I < 40; ++I)
-    M.step({static_cast<float>(R.uniform(0, 1))},
-           static_cast<float>(R.uniform(-1, 1)), I % 10 == 9, {"action", 2},
-           /*Learning=*/true);
+    onelane::step(M, {static_cast<float>(R.uniform(0, 1))},
+                  static_cast<float>(R.uniform(-1, 1)), I % 10 == 9,
+                  {"action", 2}, /*Learning=*/true);
   std::string Path = ::testing::TempDir() + "au_robust_rl_keep.aumodel";
   ASSERT_TRUE(M.save(Path));
   truncateFile(Path, 80);
