@@ -6,9 +6,9 @@
 // checkpoint/restore latency of Table 2).
 //
 // Each primitive is measured through both keying APIs — the string API and
-// the interned-handle hot path of DESIGN.md §7 — and checkpointing is
-// measured with the O(Δ) dirty tracking against the full-copy path. Prints
-// one JSON line per case (the same shape as bench/nn_kernels):
+// the interned-handle hot path of DESIGN.md §7 — and checkpoint/restore of
+// a Mario-sized state once each. Prints one JSON line per case (the same
+// shape as bench/nn_kernels):
 //
 //   {"bench": "...", "api": "string|handle", "ns_per_iter": ...}
 //   {"bench": "...", "speedup_handle_vs_string": ...}
@@ -210,80 +210,44 @@ void benchNnPredict(size_t N) {
 }
 
 //===----------------------------------------------------------------------===//
-// BM_Checkpoint: Mario-sized program state, small dirty set per iteration.
-// Compares the O(Δ) dirty-tracking path against the forced full-copy path.
+// BM_Checkpoint / BM_Restore: Mario-sized program state with two pi lists
+// rewritten per iteration. Both copy the whole registered state and pi.
 //===----------------------------------------------------------------------===//
-
-/// Registers a Mario-sized state: the env object, a world-sized POD region
-/// and NumEntries pi lists of EntryLen floats. Returns the pi slot handles.
-std::vector<NameId> setupMarioState(Session &RT, MarioEnv &Env,
-                                    std::vector<float> &World,
-                                    size_t NumEntries, size_t EntryLen) {
-  Env.reset(0x4d00);
-  RT.checkpoints().registerObject(&Env);
-  RT.checkpoints().registerRegion(World.data(),
-                                  World.size() * sizeof(float));
-  std::vector<NameId> Ids;
-  std::vector<float> Row(EntryLen, 0.25f);
-  for (size_t I = 0; I != NumEntries; ++I) {
-    NameId Id = RT.intern("state" + std::to_string(I));
-    RT.db().append(Id, Row.data(), Row.size());
-    Ids.push_back(Id);
-  }
-  return Ids;
-}
 
 void benchCheckpoint() {
   const size_t NumEntries = 200, EntryLen = 256, WorldFloats = 4096;
-  const std::string Bench = "BM_Checkpoint(mario,dirty=2)";
   std::vector<float> Row(EntryLen, 0.5f);
 
-  auto RunLoop = [&](Session &RT, const std::vector<NameId> &Ids) {
-    return timeNs([&] {
-      // Small dirty set: two mutated lists out of NumEntries.
-      RT.db().set(Ids[0], Row.data(), Row.size());
-      RT.db().set(Ids[1], Row.data(), Row.size());
-      RT.checkpoint();
-    });
-  };
+  // The env object, a world-sized POD region and NumEntries pi lists of
+  // EntryLen floats.
+  Engine Eng;
+  Session RT(Eng, Mode::TR);
+  MarioEnv Env;
+  Env.reset(0x4d00);
+  std::vector<float> World(WorldFloats, 1.0f);
+  RT.checkpoints().registerObject(&Env);
+  RT.checkpoints().registerRegion(World.data(), World.size() * sizeof(float));
+  std::vector<NameId> Ids;
+  for (size_t I = 0; I != NumEntries; ++I) {
+    NameId Id = RT.intern("state" + std::to_string(I));
+    RT.db().set(Id, Row.data(), Row.size());
+    Ids.push_back(Id);
+  }
 
-  Engine FullEng;
-  Session FullS(FullEng, Mode::TR);
-  MarioEnv FullEnv;
-  std::vector<float> FullWorld(WorldFloats, 1.0f);
-  std::vector<NameId> FullIds =
-      setupMarioState(FullS, FullEnv, FullWorld, NumEntries, EntryLen);
-  FullS.checkpoints().setDirtyTracking(false);
-  double Full = RunLoop(FullS, FullIds);
-  printCase(Bench, "full", Full);
-
-  Engine DirtyEng;
-  Session DirtyS(DirtyEng, Mode::TR);
-  MarioEnv DirtyEnv;
-  std::vector<float> DirtyWorld(WorldFloats, 1.0f);
-  std::vector<NameId> DirtyIds =
-      setupMarioState(DirtyS, DirtyEnv, DirtyWorld, NumEntries, EntryLen);
-  double Dirty = RunLoop(DirtyS, DirtyIds);
-  printCase(Bench, "dirty", Dirty);
-  printSpeedup(Bench, "speedup_dirty_vs_full", Full, Dirty);
-
-  // Restore latency back to one snapshot with the same small dirty set.
-  const std::string RBench = "BM_Restore(mario,dirty=2)";
-  FullS.checkpoint();
-  double FullR = timeNs([&] {
-    FullS.db().set(FullIds[0], Row.data(), Row.size());
-    FullS.db().set(FullIds[1], Row.data(), Row.size());
-    FullS.restore();
+  double Ckpt = timeNs([&] {
+    RT.db().set(Ids[0], Row.data(), Row.size());
+    RT.db().set(Ids[1], Row.data(), Row.size());
+    RT.checkpoint();
   });
-  printCase(RBench, "full", FullR);
-  DirtyS.checkpoint();
-  double DirtyR = timeNs([&] {
-    DirtyS.db().set(DirtyIds[0], Row.data(), Row.size());
-    DirtyS.db().set(DirtyIds[1], Row.data(), Row.size());
-    DirtyS.restore();
+  printCase("BM_Checkpoint(mario)", "handle", Ckpt);
+
+  RT.checkpoint();
+  double Restore = timeNs([&] {
+    RT.db().set(Ids[0], Row.data(), Row.size());
+    RT.db().set(Ids[1], Row.data(), Row.size());
+    RT.restore();
   });
-  printCase(RBench, "dirty", DirtyR);
-  printSpeedup(RBench, "speedup_dirty_vs_full", FullR, DirtyR);
+  printCase("BM_Restore(mario)", "handle", Restore);
 }
 
 //===----------------------------------------------------------------------===//

@@ -167,9 +167,8 @@ static NameId extractState(GameEnv &Env, Session &S,
   return extractStateLane(Env, S, Opt, H);
 }
 
-/// Configures (or finds) the model for this env/variant pair.
-static Model *configureModel(GameEnv &Env, Session &S,
-                             const RlTrainOptions &Opt) {
+ModelConfig au::apps::rlModelConfig(const GameEnv &Env,
+                                    const RlTrainOptions &Opt) {
   ModelConfig C;
   C.Name = rlModelName(Env, Opt.Variant);
   C.Type = Opt.Variant == RlVariant::Raw ? ModelType::CNN : ModelType::DNN;
@@ -178,7 +177,13 @@ static Model *configureModel(GameEnv &Env, Session &S,
   C.FrameSide = Opt.FrameSide;
   C.FrameChannels = 1;
   C.Seed = Opt.Seed + (Opt.Variant == RlVariant::Raw ? 1000 : 0);
-  Model *M = S.config(C);
+  return C;
+}
+
+/// Configures (or finds) the model for this env/variant pair.
+static Model *configureModel(GameEnv &Env, Session &S,
+                             const RlTrainOptions &Opt) {
+  Model *M = S.config(rlModelConfig(Env, Opt));
   if (!M->isBuilt())
     static_cast<RlModel *>(M)->setQConfig(Opt.QCfg);
   return M;

@@ -94,6 +94,11 @@ struct RlEvalResult {
 /// The model name the harness registers for (env, variant).
 std::string rlModelName(const GameEnv &Env, RlVariant V);
 
+/// The au_config the harness issues for (env, options). trainRl adopts a
+/// model already in theta under this name, so a caller may configure it
+/// first with a different learner seed.
+ModelConfig rlModelConfig(const GameEnv &Env, const RlTrainOptions &Opt);
+
 /// Runs the full feature-selection pipeline for \p Env: a scripted profile
 /// run, Algorithm 2 over its targets, then restriction to the variables the
 /// program exposes at runtime (the paper extracts arbitrary program

@@ -25,51 +25,23 @@ void CheckpointManager::registerObject(Checkpointable *Obj) {
   Objects.push_back(Obj);
 }
 
-void CheckpointManager::checkpoint(DatabaseStore &Db) {
-  const bool Delta = DirtyTracking && HasSnapshot;
-  LastCopies = 0;
-
-  // Regions: compare against the held copy and re-copy only on change
-  // (O(sigma) reads, O(Δ) writes; buffers are allocated once).
+void CheckpointManager::checkpoint(const DatabaseStore &Db) {
   RegionData.resize(Regions.size());
   for (size_t I = 0, E = Regions.size(); I != E; ++I) {
-    const Region &R = Regions[I];
-    std::vector<uint8_t> &Buf = RegionData[I];
-    if (!Delta || Buf.size() != R.Bytes) {
-      Buf.resize(R.Bytes);
-      std::memcpy(Buf.data(), R.Ptr, R.Bytes);
-      ++LastCopies;
-    } else if (std::memcmp(Buf.data(), R.Ptr, R.Bytes) != 0) {
-      std::memcpy(Buf.data(), R.Ptr, R.Bytes);
-      ++LastCopies;
-    }
+    const auto *Bytes = static_cast<const uint8_t *>(Regions[I].Ptr);
+    RegionData[I].assign(Bytes, Bytes + Regions[I].Bytes);
   }
-
-  // Objects: re-serialized every time (an object cannot report dirtiness),
-  // but into their retained buffers, so the steady state allocates nothing.
   ObjectData.resize(Objects.size());
   for (size_t I = 0, E = Objects.size(); I != E; ++I) {
     ObjectData[I].clear();
     Objects[I]->saveState(ObjectData[I]);
   }
-
-  // pi: a slot whose generation stamp still matches the held snapshot is
-  // byte-identical to it — skip. New slots start at generation 0 and every
-  // mutation stamps a strictly positive store-wide counter, so a fresh
-  // bottom slot also matches its zero-initialized snapshot entry.
   DbSnap.resize(Db.numSlots());
   for (NameId Id = 0, E = static_cast<NameId>(DbSnap.size()); Id != E; ++Id) {
-    SlotSnap &Snap = DbSnap[Id];
-    uint64_t Gen = Db.slotGen(Id);
-    if (Delta && Snap.Gen == Gen)
-      continue;
-    Db.snapshotSlot(Id, Snap.Data, Snap.Mapped);
-    Snap.Gen = Gen;
-    ++LastCopies;
+    const std::vector<float> &L = Db.get(Id);
+    DbSnap[Id].Data.assign(L.begin(), L.end());
+    DbSnap[Id].Mapped = Db.contains(Id);
   }
-  // Re-arm the store's lazy mutation stamping against this snapshot.
-  Db.markSnapshot();
-
   HasSnapshot = true;
 }
 
@@ -82,14 +54,12 @@ void CheckpointManager::restore(DatabaseStore &Db) {
     std::memcpy(Regions[I].Ptr, RegionData[I].data(), Regions[I].Bytes);
   for (size_t I = 0, E = Objects.size(); I != E; ++I)
     Objects[I]->loadState(ObjectData[I]);
-
-  // pi: rewind only slots mutated since the snapshot; their stamps wind
-  // back with the values so the next checkpoint sees them clean.
   for (NameId Id = 0, E = static_cast<NameId>(DbSnap.size()); Id != E; ++Id) {
     const SlotSnap &Snap = DbSnap[Id];
-    if (DirtyTracking && Db.slotGen(Id) == Snap.Gen)
-      continue;
-    Db.restoreSlot(Id, Snap.Data, Snap.Mapped, Snap.Gen);
+    if (Snap.Mapped)
+      Db.set(Id, Snap.Data.data(), Snap.Data.size());
+    else
+      Db.reset(Id);
   }
   // Slots interned after the snapshot roll back to bottom.
   for (NameId Id = static_cast<NameId>(DbSnap.size()),

@@ -14,12 +14,11 @@
 /// pi. Model state is never registered, which realizes the same
 /// "checkpoint sigma and pi but not theta" contract directly.
 ///
-/// Snapshot cost is O(Δ), not O(pi)+O(sigma) (DESIGN.md §7): pi slots carry
-/// generation stamps, so checkpoint() copies only slots mutated since the
-/// last snapshot and restore() touches only slots mutated since it; regions
-/// are memcmp'd against the held copy and re-copied only on change; object
-/// blobs reuse their buffers. Behavior is identical to the full snapshot —
-/// setDirtyTracking(false) forces the full path, kept for measurement.
+/// A snapshot is a plain copy of every registered region, every object
+/// blob and every pi slot into buffers the manager retains, so the steady
+/// state allocates nothing. The repo's programs checkpoint 3-12 pi slots
+/// with at most one mapped float among them (DESIGN.md §7), so the copy is
+/// cheaper than tracking what changed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,11 +57,8 @@ public:
   void registerObject(Checkpointable *Obj);
 
   /// Takes the snapshot of all registered state and \p Db (Rule
-  /// CHECKPOINT's mkSnapshot over <sigma, pi>). With dirty tracking on
-  /// (the default) only state mutated since the previous snapshot is
-  /// re-copied; \p Db is non-const because lazily serialized entries are
-  /// materialized into the snapshot.
-  void checkpoint(DatabaseStore &Db);
+  /// CHECKPOINT's mkSnapshot over <sigma, pi>).
+  void checkpoint(const DatabaseStore &Db);
 
   /// Restores the last snapshot into the registered state and \p Db (Rule
   /// RESTORE's rtSnapshot). The snapshot stays valid, so ending states can
@@ -75,27 +71,14 @@ public:
   /// Snapshot footprint in bytes (region bytes + object blobs + pi values).
   size_t snapshotBytes() const;
 
-  /// Toggles O(Δ) dirty tracking (on by default). Off forces every
-  /// checkpoint/restore to copy all registered state and every pi slot —
-  /// observable behavior is identical; kept so the overhead benchmarks can
-  /// measure the delta path against the full path.
-  void setDirtyTracking(bool On) { DirtyTracking = On; }
-  bool dirtyTracking() const { return DirtyTracking; }
-
-  /// Slots/regions actually copied by the most recent checkpoint()
-  /// (diagnostics for the overhead benchmarks).
-  size_t lastCheckpointCopies() const { return LastCopies; }
-
 private:
   struct Region {
     void *Ptr;
     size_t Bytes;
   };
-  /// Snapshot of one pi slot: its values, mapped-ness, and the slot
-  /// generation the copy corresponds to.
+  /// Snapshot of one pi slot: its values and mapped-ness.
   struct SlotSnap {
     std::vector<float> Data;
-    uint64_t Gen = 0;
     bool Mapped = false;
   };
 
@@ -103,12 +86,9 @@ private:
   std::vector<Checkpointable *> Objects;
 
   bool HasSnapshot = false;
-  bool DirtyTracking = true;
-  size_t LastCopies = 0;
   std::vector<std::vector<uint8_t>> RegionData;
   std::vector<std::vector<uint8_t>> ObjectData;
   std::vector<SlotSnap> DbSnap; ///< Indexed by NameId.
-  size_t SnapNumSlots = 0;      ///< Slot count when the snapshot was taken.
 };
 
 } // namespace au

@@ -3,7 +3,6 @@
 #include "core/DatabaseStore.h"
 
 #include <cassert>
-#include <cstring>
 
 using namespace au;
 
@@ -11,15 +10,8 @@ static const std::vector<float> EmptyList;
 
 DatabaseStore::InternAuthority::~InternAuthority() = default;
 
-void SerializedView::copyTo(float *Dst) const {
-  for (const Span &S : Spans) {
-    std::memcpy(Dst, S.Data, S.Len * sizeof(float));
-    Dst += S.Len;
-  }
-}
-
 //===----------------------------------------------------------------------===//
-// Interning and slot access
+// Interning
 //===----------------------------------------------------------------------===//
 
 NameId DatabaseStore::intern(std::string_view Name) {
@@ -30,94 +22,20 @@ NameId DatabaseStore::intern(std::string_view Name) {
 }
 
 //===----------------------------------------------------------------------===//
-// Handle-keyed primitives (the append/reset pair is inline in the header)
+// Handle-keyed primitives (append/get/reset/serialize are inline in the
+// header)
 //===----------------------------------------------------------------------===//
-
-void DatabaseStore::appendSlow(Slot &S, const float *Values, size_t N) {
-  if (S.Lazy)
-    materialize(S); // Appending to a serialized entry: concretize first.
-  if (!S.Mapped) {
-    S.Data.clear(); // Fresh list over the retained buffer.
-    S.Mapped = true;
-    ++S.WriteGen;
-    if (S.Data.capacity() < N)
-      S.Data.reserve(N);
-  } else if (S.Data.size() + N > S.Data.capacity()) {
-    ++S.WriteGen; // Growth reallocates: span pointers die.
-  }
-  S.Data.insert(S.Data.end(), Values, Values + N);
-  touch(S);
-  Appended += N;
-}
-
-const std::vector<float> &DatabaseStore::get(NameId Id) const {
-  const Slot &S = slot(Id);
-  if (!S.Mapped)
-    return EmptyList;
-  if (S.Lazy)
-    materialize(S);
-  return S.Data;
-}
-
-void DatabaseStore::view(NameId Id, SerializedView &V) const {
-  V.Spans.clear();
-  V.Total = 0;
-  const Slot &S = slot(Id);
-  if (!S.Mapped)
-    return;
-  if (!S.Lazy) {
-    if (!S.Data.empty())
-      V.Spans.push_back({S.Data.data(), S.Data.size()});
-    V.Total = S.Data.size();
-    return;
-  }
-  for (const Slot::Src &Src : S.Srcs) {
-    const Slot &From = slot(Src.Id);
-    assert(From.WriteGen == Src.WriteGen &&
-           "serialize source mutated before the combined entry was consumed");
-    V.Spans.push_back({From.Data.data(), Src.Len});
-  }
-  V.Total = S.LazySize;
-}
-
-void DatabaseStore::materialize(const Slot &S) const {
-  assert(S.Lazy && "materializing a concrete slot");
-  // Gather into a scratch list first: source buffers must not alias the
-  // destination mid-copy (serialize() already rejects self-reference, this
-  // keeps the invariant local).
-  std::vector<float> Gathered;
-  Gathered.reserve(S.LazySize);
-  for (const Slot::Src &Src : S.Srcs) {
-    const Slot &From = slot(Src.Id);
-    assert(From.WriteGen == Src.WriteGen &&
-           "serialize source mutated before the combined entry was consumed");
-    Gathered.insert(Gathered.end(), From.Data.data(),
-                    From.Data.data() + Src.Len);
-  }
-  S.Data = std::move(Gathered);
-  S.Srcs.clear();
-  S.Lazy = false;
-  ++S.WriteGen;
-}
 
 void DatabaseStore::set(NameId Id, const float *Values, size_t N) {
   Slot &S = slot(Id);
   S.Data.assign(Values, Values + N);
-  S.Srcs.clear();
-  S.Lazy = false;
   S.Mapped = true;
-  ++S.WriteGen;
-  touch(S);
 }
 
 void DatabaseStore::set(NameId Id, std::vector<float> Values) {
   Slot &S = slot(Id);
   S.Data = std::move(Values);
-  S.Srcs.clear();
-  S.Lazy = false;
   S.Mapped = true;
-  ++S.WriteGen;
-  touch(S);
 }
 
 NameId DatabaseStore::combinedIdFor(const std::vector<NameId> &Ids) {
@@ -143,24 +61,6 @@ NameId DatabaseStore::combinedIdFor(const std::vector<NameId> &Ids) {
   return Combined;
 }
 
-void DatabaseStore::append(NameId Id, std::vector<float> &&Values) {
-  Slot &S = slot(Id);
-  size_t N = Values.size();
-  if (!S.Mapped) {
-    // Adopt the buffer wholesale: the common model-output path hands over
-    // a freshly built vector, so this kills the per-step copy.
-    S.Data = std::move(Values);
-    S.Srcs.clear();
-    S.Lazy = false;
-    S.Mapped = true;
-    ++S.WriteGen;
-    touch(S);
-    Appended += N;
-    return;
-  }
-  append(Id, Values.data(), N);
-}
-
 //===----------------------------------------------------------------------===//
 // String-keyed shims
 //===----------------------------------------------------------------------===//
@@ -168,11 +68,6 @@ void DatabaseStore::append(NameId Id, std::vector<float> &&Values) {
 void DatabaseStore::append(const std::string &Name,
                            const std::vector<float> &Values) {
   append(intern(Name), Values.data(), Values.size());
-}
-
-void DatabaseStore::append(const std::string &Name,
-                           std::vector<float> &&Values) {
-  append(intern(Name), std::move(Values));
 }
 
 void DatabaseStore::append(const std::string &Name, float Value) {
@@ -210,7 +105,7 @@ std::string DatabaseStore::serialize(std::initializer_list<const char *> Ns) {
 }
 
 //===----------------------------------------------------------------------===//
-// Accounting and checkpoint support
+// Accounting
 //===----------------------------------------------------------------------===//
 
 size_t DatabaseStore::numEntries() const {
@@ -223,44 +118,11 @@ size_t DatabaseStore::numEntries() const {
 size_t DatabaseStore::totalValues() const {
   size_t N = 0;
   for (const Slot &S : Slots)
-    if (S.Mapped)
-      N += S.Lazy ? S.LazySize : S.Data.size();
+    N += S.Data.size(); // Bottom slots hold empty lists.
   return N;
 }
 
 void DatabaseStore::clear() {
-  for (Slot &S : Slots) {
-    S.Data = {};
-    S.Srcs = {};
-    S.LazySize = 0;
-    S.Mapped = false;
-    S.Lazy = false;
-    ++S.WriteGen; // The retained bytes are gone: invalidate spans.
-    touch(S);     // And any checkpoint snapshot must re-copy the slot.
-  }
-}
-
-void DatabaseStore::snapshotSlot(NameId Id, std::vector<float> &Data,
-                                 bool &Mapped) const {
-  const Slot &S = slot(Id);
-  Mapped = S.Mapped;
-  if (!S.Mapped) {
-    Data.clear();
-    return;
-  }
-  if (S.Lazy)
-    materialize(S);
-  Data.assign(S.Data.begin(), S.Data.end());
-}
-
-void DatabaseStore::restoreSlot(NameId Id, const std::vector<float> &Data,
-                                bool Mapped, uint64_t Gen) {
-  Slot &S = slot(Id);
-  S.Data.assign(Data.begin(), Data.end());
-  S.Srcs.clear();
-  S.LazySize = 0;
-  S.Lazy = false;
-  S.Mapped = Mapped;
-  ++S.WriteGen;
-  S.Gen = Gen;
+  for (Slot &S : Slots)
+    S = Slot();
 }

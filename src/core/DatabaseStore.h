@@ -13,18 +13,15 @@
 ///
 /// Hot-path layout (DESIGN.md §7): names are interned once into dense
 /// NameIds by an embedded NameTable, and the store is a flat vector of
-/// slots indexed by NameId. Each slot keeps its float buffer across reset()
-/// so steady-state extract/append does zero allocations, and carries two
-/// counters: Gen, a store-wide monotone stamp bumped on every *logical*
-/// mutation (append/set/reset/serialize target) that the checkpoint
-/// manager's dirty tracking compares, and WriteGen, bumped only when the
-/// slot's *bytes* change, which validates the zero-copy serialize spans.
+/// slots indexed by NameId. Every slot is a plain list plus a mapped flag.
+/// It keeps its float buffer across reset(), so steady-state
+/// extract/append does zero allocations.
 ///
-/// serialize() is lazy: the combined entry records spans over the source
-/// slots instead of copying them; the concatenated vector materializes only
-/// when someone reads the combined entry through get(), while nn() consumes
-/// the spans directly via view(). The string-keyed API is a thin shim that
-/// interns and forwards, so existing callers compile and behave unchanged.
+/// serialize() copies, as Rule SERIALIZE reads: the sources are
+/// concatenated into a retained scratch list that is then swapped into the
+/// combined slot. The lists the repo's programs serialize are a handful of
+/// floats, so the copy costs less than any bookkeeping that would avoid it.
+/// The string-keyed API is a thin shim that interns and forwards.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,41 +31,14 @@
 #include "core/NameTable.h"
 
 #include <cassert>
-#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 namespace au {
 
-/// Zero-copy view of one database-store entry: an ordered span list over
-/// the backing slot buffers. Valid until the next mutation of any source
-/// slot (in the Fig. 8 loop, a view produced by serialize is consumed by
-/// the immediately following au_NN, which holds). copyTo() is the one
-/// gather the consumer pays.
-class SerializedView {
-public:
-  size_t size() const { return Total; }
-  size_t numSpans() const { return Spans.size(); }
-  const float *spanData(size_t I) const { return Spans[I].Data; }
-  size_t spanSize(size_t I) const { return Spans[I].Len; }
-
-  /// Gathers the spans into \p Dst (which must hold size() floats).
-  void copyTo(float *Dst) const;
-
-private:
-  friend class DatabaseStore;
-  struct Span {
-    const float *Data;
-    size_t Len;
-  };
-  std::vector<Span> Spans;
-  size_t Total = 0;
-};
-
 /// pi ::= Name -> list of Value. Copyable so tests and the executable
-/// semantics can snapshot it wholesale (the checkpoint manager itself uses
-/// per-slot dirty tracking instead, see Checkpoint.h).
+/// semantics can snapshot it wholesale.
 class DatabaseStore {
 public:
   /// Delegates interning of names the store creates *itself* (today only
@@ -110,19 +80,9 @@ public:
   /// Appends \p N values to the list under \p Id (Rule EXTRACT's concat).
   void append(NameId Id, const float *Values, size_t N);
   void append(NameId Id, float Value);
-  /// Rvalue overload: adopts \p Values wholesale when the slot is bottom
-  /// (the common model-output path hands over a freshly built vector, so
-  /// this kills the copy); appends otherwise.
-  void append(NameId Id, std::vector<float> &&Values);
 
-  /// The list under \p Id; empty when unmapped (bottom). Materializes a
-  /// lazily serialized entry on first read.
-  const std::vector<float> &get(NameId Id) const;
-
-  /// Fills \p V with a span view of the entry, without materializing it.
-  /// \p V keeps its span capacity across calls, so a caller that reuses one
-  /// view allocates nothing in the steady state.
-  void view(NameId Id, SerializedView &V) const;
+  /// The list under \p Id; empty when unmapped (bottom).
+  const std::vector<float> &get(NameId Id) const { return slot(Id).Data; }
 
   /// Replaces the list under \p Id (copying variant reuses the slot's
   /// buffer; no allocation once capacity is warm).
@@ -130,19 +90,18 @@ public:
   void set(NameId Id, std::vector<float> Values);
 
   /// Maps \p Id back to bottom (Rule TRAIN/TEST reset the model-input list
-  /// after each au_NN). Keeps the slot's buffer: the bytes stay readable
-  /// through previously recorded serialize spans until the next append.
+  /// after each au_NN). Keeps the slot's buffer capacity for the next
+  /// append.
   void reset(NameId Id);
 
-  bool contains(NameId Id) const;
+  bool contains(NameId Id) const { return slot(Id).Mapped; }
 
-  /// Rule SERIALIZE over handles: records the concatenation of the lists
-  /// under \p Ids as spans under the combined name (the strcat of the
-  /// source names, interned once and cached per id-vector), and returns the
-  /// combined handle. No float is copied until the entry is read. With
-  /// \p Consume the source entries are mapped back to bottom in the same
-  /// walk (the runtime's serialize semantics); their bytes stay readable
-  /// through the recorded spans.
+  /// Rule SERIALIZE over handles: stores the concatenation of the lists
+  /// under \p Ids under the combined name (the strcat of the source names,
+  /// interned once and cached per id-vector) and returns the combined
+  /// handle. With \p Consume the source entries are mapped back to bottom
+  /// after the copy (the runtime's serialize semantics); the combined entry
+  /// itself is never consumed, even when it is one of its own sources.
   NameId serialize(const std::vector<NameId> &Ids, bool Consume = false);
 
   //===--------------------------------------------------------------------===//
@@ -150,8 +109,6 @@ public:
   //===--------------------------------------------------------------------===//
 
   void append(const std::string &Name, const std::vector<float> &Values);
-  /// Rvalue overload: adopts \p Values wholesale when the slot is bottom.
-  void append(const std::string &Name, std::vector<float> &&Values);
   void append(const std::string &Name, float Value);
   const std::vector<float> &get(const std::string &Name) const;
   void set(const std::string &Name, std::vector<float> Values);
@@ -168,7 +125,7 @@ public:
   std::string serialize(std::initializer_list<const char *> Names);
 
   //===--------------------------------------------------------------------===//
-  // Accounting and checkpoint support
+  // Accounting
   //===--------------------------------------------------------------------===//
 
   /// Number of mapped (non-bottom) names.
@@ -183,66 +140,24 @@ public:
   /// what the store currently holds (tests rely on this).
   size_t lifetimeAppended() const { return Appended; }
 
-  /// Maps every entry to bottom and drops all per-slot bookkeeping: buffer
-  /// capacity is released and generation stamps are re-issued, so cleared
-  /// slots are seen as mutated by any outstanding checkpoint snapshot.
-  /// Interned names (and their ids) survive; lifetimeAppended() survives
-  /// (see above). Used by tests; not a primitive.
+  /// Maps every entry to bottom and releases the slot buffers. Interned
+  /// names (and their ids) survive; lifetimeAppended() survives (see
+  /// above). Used by tests; not a primitive.
   void clear();
 
   /// Number of slots (== names().size(); includes bottom slots).
   size_t numSlots() const { return Slots.size(); }
 
-  /// The logical-mutation stamp of a slot (checkpoint dirty tracking).
-  uint64_t slotGen(NameId Id) const;
-
-  /// Called by the checkpoint manager after recording slot stamps: mutation
-  /// stamping is lazy — a slot already stamped after the latest snapshot is
-  /// already dirty and skips the counter bump — so the manager must tell
-  /// the store where "latest" is.
-  void markSnapshot() { SnapStamp = GenCounter; }
-
-  /// Copies the entry under \p Id into \p Data (reusing its capacity) and
-  /// reports whether the slot is mapped. Materializes lazy entries.
-  void snapshotSlot(NameId Id, std::vector<float> &Data, bool &Mapped) const;
-
-  /// Overwrites the slot from a snapshot taken at generation \p Gen and
-  /// winds its stamp back to \p Gen, so an unchanged slot stays clean
-  /// across checkpoint/restore cycles.
-  void restoreSlot(NameId Id, const std::vector<float> &Data, bool Mapped,
-                   uint64_t Gen);
-
 private:
-  /// One arena slot. Data/Lazy bookkeeping is mutable so that get() can
-  /// materialize a lazy concatenation without breaking logical constness
-  /// (materialization never changes the entry's value).
+  /// One arena slot. Invariant: an unmapped slot's list is empty, so get()
+  /// needs no branch and bottom contributes nothing to a serialize.
   struct Slot {
-    /// Backing buffer. Only the slots of a *mapped*, non-lazy entry are
-    /// meaningful; after reset() the bytes linger for span readers.
-    mutable std::vector<float> Data;
-    /// Lazy-concat sources: (source id, length, source WriteGen at record
-    /// time). Non-empty only while Lazy.
-    struct Src {
-      NameId Id;
-      uint32_t Len;
-      uint64_t WriteGen;
-    };
-    mutable std::vector<Src> Srcs;
-    uint64_t Gen = 0;            ///< Logical-mutation stamp (store-wide).
-    mutable uint64_t WriteGen = 0; ///< Byte-mutation stamp (span validity).
-    uint32_t LazySize = 0;       ///< Total floats of the lazy concat.
+    std::vector<float> Data;
     bool Mapped = false;
-    mutable bool Lazy = false;
   };
 
   Slot &slot(NameId Id);
   const Slot &slot(NameId Id) const;
-  void materialize(const Slot &S) const;
-
-  /// Cold half of append(): first touch of a bottom slot, concretizing a
-  /// lazy entry, and capacity growth (the WriteGen bumps live here — the
-  /// fast path never invalidates recorded spans).
-  void appendSlow(Slot &S, const float *Values, size_t N);
 
   /// Cold half of serialize(): combined-name interning on an id-vector
   /// cache miss (routed through the InternAuthority when one is set).
@@ -256,15 +171,6 @@ private:
     for (const auto &N : R)
       Ids.push_back(intern(N));
     return Ids;
-  }
-
-  /// Stamps a logical mutation. Lazy: once a slot is dirty relative to the
-  /// latest snapshot (Gen > SnapStamp), further mutations change nothing a
-  /// snapshot comparison can see, so the hot loop skips the counter
-  /// read-modify-write (which would otherwise serialize every append).
-  void touch(Slot &S) {
-    if (S.Gen <= SnapStamp)
-      S.Gen = ++GenCounter;
   }
 
   /// Cache: source-id vector -> combined id, so steady-state serialize
@@ -286,12 +192,11 @@ private:
   /// id-vector every iteration, so a short equality check beats re-hashing.
   std::vector<NameId> LastSerializeIds;
   NameId LastSerializeCombined = InvalidNameId;
-  uint64_t GenCounter = 0;
-  uint64_t SnapStamp = 0; ///< GenCounter value at the latest snapshot.
   size_t Appended = 0;
-  /// serialize()'s swap partner for the combined slot's span list (see the
-  /// self-reference restore there); holds a retained buffer between calls.
-  std::vector<Slot::Src> SrcsStash;
+  /// serialize() builds the concatenation here and swaps it into the
+  /// combined slot, so the old combined list comes back as the next
+  /// call's scratch and neither buffer is reallocated once warm.
+  std::vector<float> SerializeScratch;
 };
 
 //===----------------------------------------------------------------------===//
@@ -310,55 +215,24 @@ inline const DatabaseStore::Slot &DatabaseStore::slot(NameId Id) const {
   return Slots[Id];
 }
 
-// WriteGen stamps byte mutations a recorded span could observe: a rewrite
-// from offset zero (the old bytes die) or a growth past capacity (the old
-// buffer dies). Extending a list in place leaves every previously recorded
-// prefix span intact, so steady-state appends carry no counter
-// read-modify-write chain at all.
-
 inline void DatabaseStore::append(NameId Id, const float *Values, size_t N) {
   Slot &S = slot(Id);
-  // Fast path: extending a concrete mapped list inside retained capacity —
-  // the steady state of the annotated loop. One fused test guards it, then
-  // the body is a single batched copy into the slot arena (the pointer-pair
-  // insert at end() compiles to one memcpy; measured identical to a raw
-  // memcpy of the run). Everything else — first touch, lazy concretize,
-  // growth — is the out-of-line slow path.
-  if (S.Mapped && !S.Lazy && S.Data.size() + N <= S.Data.capacity()) {
-    S.Data.insert(S.Data.end(), Values, Values + N);
-    touch(S);
-    Appended += N;
-    return;
-  }
-  appendSlow(S, Values, N);
+  S.Data.insert(S.Data.end(), Values, Values + N);
+  S.Mapped = true;
+  Appended += N;
 }
 
 inline void DatabaseStore::append(NameId Id, float Value) {
-  // Scalar fast path: push_back instead of the iterator-pair insert (one
-  // au_extract per program variable is the common case).
   Slot &S = slot(Id);
-  if (S.Mapped && !S.Lazy && S.Data.size() < S.Data.capacity()) {
-    S.Data.push_back(Value);
-    touch(S);
-    ++Appended;
-    return;
-  }
-  appendSlow(S, &Value, 1);
+  S.Data.push_back(Value);
+  S.Mapped = true;
+  ++Appended;
 }
 
 inline void DatabaseStore::reset(NameId Id) {
   Slot &S = slot(Id);
-  if (!S.Mapped)
-    return; // Already bottom; nothing observable changes.
+  S.Data.clear();
   S.Mapped = false;
-  if (S.Lazy) {
-    S.Lazy = false;
-    S.Srcs.clear();
-  }
-  // Deliberately no WriteGen bump and no Data.clear(): the bytes stay
-  // readable through spans recorded by serialize() until the next append
-  // overwrites them (the zero-copy serialize contract, DESIGN.md §7).
-  touch(S);
 }
 
 inline NameId DatabaseStore::serialize(const std::vector<NameId> &Ids,
@@ -372,76 +246,21 @@ inline NameId DatabaseStore::serialize(const std::vector<NameId> &Ids,
   NameId Combined =
       Ids == LastSerializeIds ? LastSerializeCombined : combinedIdFor(Ids);
 
-  // Record the concatenation as spans, gathered straight into the combined
-  // slot's retained span list; flatten sources that are themselves lazy so
-  // spans always reference concrete buffers. No float is copied. Aliasing
-  // notes: the combined slot's old span list is swapped into SrcsStash
-  // first, so a lazy combined slot appearing among its own sources
-  // flattens from the stash while the new list is being built; a span over
-  // the combined slot's own buffer is fine — view() only reads it, and
-  // materialize() gathers every span before replacing the buffer.
-  Slot &C = slot(Combined);
-  C.Srcs.swap(SrcsStash);
-  std::vector<Slot::Src> &Srcs = C.Srcs;
-  Srcs.clear();
-  uint32_t Total = 0;
-  bool AnyLazy = false;
+  // Copy every source before anything is consumed or replaced, so a
+  // duplicate source counts each time and a combined name among its own
+  // sources contributes its old list.
+  SerializeScratch.clear();
   for (NameId Id : Ids) {
-    Slot &S = slot(Id);
-    if (!S.Mapped) {
-      // Bottom contributes no values (but did name the entry) — unless this
-      // is a duplicate of a source consumed earlier in this very walk,
-      // whose bytes (and recorded span) are still valid.
-      for (size_t J = 0, E = Srcs.size(); J != E; ++J)
-        if (Srcs[J].Id == Id) {
-          Slot::Src Again = Srcs[J];
-          Srcs.push_back(Again);
-          Total += Again.Len;
-          break;
-        }
-      continue;
-    }
-    if (S.Lazy) {
-      AnyLazy = true;
-      const std::vector<Slot::Src> &From = &S == &C ? SrcsStash : S.Srcs;
-      for (const Slot::Src &Sub : From) {
-        Srcs.push_back(Sub);
-        Total += Sub.Len;
-      }
-      continue;
-    }
-    Srcs.push_back({Id, static_cast<uint32_t>(S.Data.size()), S.WriteGen});
-    Total += static_cast<uint32_t>(S.Data.size());
-    if (Consume && Id != Combined) {
-      S.Mapped = false;
-      touch(S);
-    }
+    const std::vector<float> &L = slot(Id).Data;
+    SerializeScratch.insert(SerializeScratch.end(), L.begin(), L.end());
   }
-  // Lazy sources are consumed after the walk: a duplicated lazy source
-  // must still be mapped when its second occurrence flattens it.
-  if (Consume && AnyLazy)
-    for (NameId Id : Ids) {
-      Slot &S = slot(Id);
-      if (Id != Combined && S.Mapped && S.Lazy) {
-        S.Mapped = false;
-        S.Lazy = false;
-        S.Srcs.clear();
-        touch(S);
-      }
-    }
-  C.LazySize = Total;
-  C.Lazy = true;
+  if (Consume)
+    for (NameId Id : Ids)
+      reset(Id); // The swap below remaps Combined should it be a source.
+  Slot &C = slot(Combined);
+  C.Data.swap(SerializeScratch);
   C.Mapped = true;
-  touch(C);
   return Combined;
-}
-
-inline bool DatabaseStore::contains(NameId Id) const {
-  return slot(Id).Mapped;
-}
-
-inline uint64_t DatabaseStore::slotGen(NameId Id) const {
-  return slot(Id).Gen;
 }
 
 } // namespace au

@@ -4,6 +4,7 @@
 
 #include "support/ThreadPool.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace au;
@@ -227,21 +228,18 @@ bool InferenceReplica::refresh(Engine &Eng, NameId ModelId) {
 
 size_t Engine::gatherRows(Session *const *Sessions, const NameId *ExtIds,
                           int K) {
-  // Rows are disjoint and each chunk touches only its own sessions' stores
-  // and views, so the gather parallelizes without changing any result.
-  Session &First = *Sessions[0];
-  First.Db.view(ExtIds[0], First.NnView);
-  size_t D = First.NnView.size();
+  // Rows are disjoint and each chunk reads only its own sessions' stores,
+  // so the gather parallelizes without changing any result.
+  size_t D = Sessions[0]->Db.get(ExtIds[0]).size();
   assert(D > 0 && "au_NN with an empty model input");
-  NnStaging.resize(static_cast<size_t>(K) * D);
+  BatchRows.resize(static_cast<size_t>(K) * D);
   ThreadPool::global().parallelFor(
       0, static_cast<size_t>(K), ThreadPool::grainFor(D),
       [&](size_t B, size_t E) {
         for (size_t S = B; S != E; ++S) {
-          Session &Sess = *Sessions[S];
-          Sess.Db.view(ExtIds[S], Sess.NnView);
-          assert(Sess.NnView.size() == D && "session input sizes diverged");
-          Sess.NnView.copyTo(NnStaging.data() + S * D);
+          const std::vector<float> &X = Sessions[S]->Db.get(ExtIds[S]);
+          assert(X.size() == D && "session input sizes diverged");
+          std::copy(X.begin(), X.end(), BatchRows.begin() + S * D);
         }
       });
   return D;
@@ -268,9 +266,9 @@ void Engine::nnBatchSessions(NameId ModelId, Session *const *Sessions,
   if (!Rep)
     Rep = std::make_unique<InferenceReplica>();
   if (Rep->refresh(*this, ModelId))
-    Rep->predictRows(NnStaging.data(), K, NnOut);
+    Rep->predictRows(BatchRows.data(), K, NnOut);
   else
-    Sl->predictRows(NnStaging.data(), K, NnOut);
+    Sl->predictRows(BatchRows.data(), K, NnOut);
 
   // Scatter each session's predictions into its own store and reset its
   // feature list (Rules TRAIN/TEST reset extName), again disjoint per
@@ -314,7 +312,7 @@ void Engine::nnRlSessions(NameId ModelId, Session *const *Sessions,
   WriteBackSpec Spec{std::string(), Output.Size};
   if (!M->isBuilt())
     Spec.Name = nameOf(Output.Name);
-  Rl->stepActors(NnStaging.data(), K, static_cast<int>(D), Rewards, Terminals,
+  Rl->stepActors(BatchRows.data(), K, static_cast<int>(D), Rewards, Terminals,
                  Spec, Learning, ActionsScratch.data());
 
   // One action float per session.

@@ -199,9 +199,9 @@ private:
   EngineModelEntry *entryByName(const std::string &Name);
   uint64_t publish(EngineModelEntry *E);
 
-  /// Gathers session k's model input pi_k[ExtIds[k]] into row k of the
-  /// K x D block NnStaging (in parallel, through each session's own view)
-  /// and returns D. Caller holds BatchM.
+  /// Copies session k's model input pi_k[ExtIds[k]] into row k of the
+  /// K x D block BatchRows (in parallel, row ranges per chunk) and returns
+  /// D. Caller holds BatchM.
   size_t gatherRows(Session *const *Sessions, const NameId *ExtIds, int K);
 
   std::string ModelDir;
@@ -217,7 +217,7 @@ private:
   /// the parallelism is inside: gather/scatter shards and the batched
   /// forward) and guards the staging below.
   std::mutex BatchM;
-  std::vector<float> NnStaging;
+  std::vector<float> BatchRows;
   std::vector<float> NnOut;
   std::vector<int> ActionsScratch;
   /// Engine-level serving replicas for nnBatchSessions, one per model.

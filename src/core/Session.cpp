@@ -112,8 +112,8 @@ void Session::nn(NameId ModelId, NameId ExtId,
   assert(SlModel::classof(M) && "supervised au_NN form on an RL model");
   assert(!Outputs.empty() && "au_NN must declare at least one output");
 
-  Db.view(ExtId, NnView);
-  assert(NnView.size() > 0 && "au_NN with an empty feature list");
+  const std::vector<float> &X = Db.get(ExtId);
+  assert(!X.empty() && "au_NN with an empty feature list");
 
   for (const WriteBackHandle &O : Outputs)
     setWbOwner(O.Name, ModelId);
@@ -123,21 +123,18 @@ void Session::nn(NameId ModelId, NameId ExtId,
     // through the write-backs of this loop iteration.
     PendingSample P;
     P.ModelId = ModelId;
-    P.X.resize(NnView.size());
-    NnView.copyTo(P.X.data());
+    P.X = X;
     P.Outputs = Outputs;
     Pending.push_back(std::move(P));
   } else {
-    // Rule TEST: gather the spans into the staging buffer, run one
-    // forwardBatch row, and scatter the predictions into pi. Under shared
-    // inference the row is served from this session's replica of the
-    // engine's latest published snapshot; otherwise (and while nothing is
-    // published) from the live model, exactly as before the split.
-    NnStaging.resize(NnView.size());
-    NnView.copyTo(NnStaging.data());
+    // Rule TEST: run one forwardBatch row straight from the slot and
+    // scatter the predictions into pi. Under shared inference the row is
+    // served from this session's replica of the engine's latest published
+    // snapshot; otherwise (and while nothing is published) from the live
+    // model, exactly as before the split.
     if (!(SharedInference &&
-          predictShared(ModelId, NnStaging.data(), /*Rows=*/1, NnOut)))
-      Sl->predictRows(NnStaging.data(), /*Rows=*/1, NnOut);
+          predictShared(ModelId, X.data(), /*Rows=*/1, NnOut)))
+      Sl->predictRows(X.data(), /*Rows=*/1, NnOut);
     size_t Offset = 0;
     for (const WriteBackHandle &O : Outputs) {
       assert(Offset + O.Size <= NnOut.size() &&
@@ -158,10 +155,8 @@ void Session::nn(NameId ModelId, NameId ExtId, float Reward, bool Terminal,
   assert(RlModel::classof(M) && "RL au_NN form on a supervised model");
   auto *Rl = static_cast<RlModel *>(M);
 
-  Db.view(ExtId, NnView);
-  assert(NnView.size() > 0 && "au_NN with an empty state list");
-  NnStaging.resize(NnView.size());
-  NnView.copyTo(NnStaging.data());
+  const std::vector<float> &State = Db.get(ExtId);
+  assert(!State.empty() && "au_NN with an empty state list");
 
   setWbOwner(Output.Name, ModelId);
   // The one-lane case of the fused actor step (DESIGN.md §8). The output's
@@ -172,7 +167,7 @@ void Session::nn(NameId ModelId, NameId ExtId, float Reward, bool Terminal,
     Spec.Name = Db.nameOf(Output.Name);
   uint8_t Term = Terminal ? 1 : 0;
   int Action = 0;
-  Rl->stepActors(NnStaging.data(), /*K=*/1, static_cast<int>(NnStaging.size()),
+  Rl->stepActors(State.data(), /*K=*/1, static_cast<int>(State.size()),
                  &Reward, &Term, Spec, /*Learning=*/ExecMode == Mode::TR,
                  &Action);
   float ActionF = static_cast<float>(Action);

@@ -7,10 +7,10 @@
 /// \file
 /// One client's slice of an autonomized execution (DESIGN.md §10): the
 /// database store pi, the checkpoint manager for the program store sigma,
-/// the primitive counters and the zero-alloc staging buffers. The shared
-/// model store theta lives in the process-wide Engine; a Session holds only
-/// what Fig. 8 scopes to a single execution, so many sessions can serve
-/// concurrently over one Engine.
+/// the primitive counters and the retained output and conversion buffers.
+/// The shared model store theta lives in the process-wide Engine; a
+/// Session holds only what Fig. 8 scopes to a single execution, so many
+/// sessions can serve concurrently over one Engine.
 ///
 /// Every primitive of Fig. 1 is implemented here exactly once — a
 /// program's own session and the RlHarness session pools all run through
@@ -185,18 +185,17 @@ public:
   /// Disambiguates serialize({"A", "B"}) (see DatabaseStore::serialize).
   std::string serialize(std::initializer_list<const char *> Names);
 
-  /// au_serialize over handles: records the concatenation as zero-copy
-  /// spans (no float moves) and returns the combined handle, cached per
-  /// id-vector after the first call. Combined names intern through the
-  /// engine (InternAuthority), so the handle is engine-wide.
+  /// au_serialize over handles: copies the concatenation into the combined
+  /// entry and returns the combined handle, cached per id-vector after the
+  /// first call. Combined names intern through the engine
+  /// (InternAuthority), so the handle is engine-wide.
   NameId serialize(const std::vector<NameId> &Ids) {
     ++Stats.NumSerialize;
     // The constituent lists are consumed: they have been moved into the
     // combined list. (Fig. 8's SERIALIZE leaves them mapped, but its
     // TRAIN/TEST rules only reset the combined extName — without this
     // refinement the model input would grow without bound across loop
-    // iterations.) The consume keeps the slot bytes, so the combined
-    // entry's zero-copy spans stay valid.
+    // iterations.)
     return Db.serialize(Ids, /*Consume=*/true);
   }
 
@@ -213,10 +212,9 @@ public:
   void nn(const std::string &ModelName, const std::string &ExtName,
           float Reward, bool Terminal, const WriteBackSpec &Output);
 
-  /// Handle-keyed au_NN forms. The feature/state list is gathered from the
-  /// serialize spans into a reusable staging buffer and, in TS mode, fed
-  /// through the batched forwardBatch engine (Rows = 1), so the steady
-  /// state allocates nothing per call.
+  /// Handle-keyed au_NN forms. The feature/state list is read straight
+  /// from its pi slot and, in TS mode, fed through the batched forwardBatch
+  /// engine (Rows = 1), so the steady state allocates nothing per call.
   void nn(NameId ModelId, NameId ExtId,
           const std::vector<WriteBackHandle> &Outputs);
   void nn(NameId ModelId, NameId ExtId, float Reward, bool Terminal,
@@ -346,12 +344,8 @@ private:
   /// NameId -> serving replica (only populated under shared inference).
   std::vector<std::unique_ptr<InferenceReplica>> Replicas;
 
-  // Reusable hot-path staging (DESIGN.md §7): the span view of the model
-  // input, the inputs gathered from it, predictions, and numeric
-  // conversions. Capacity warms up once; the loop allocates nothing. The
-  // Engine's cross-session gathers fill each session's own NnView.
-  SerializedView NnView;
-  std::vector<float> NnStaging;
+  // Reusable hot-path buffers (DESIGN.md §7): predictions and numeric
+  // conversions. Capacity warms up once; the loop allocates nothing.
   std::vector<float> NnOut;
   std::vector<float> ConvStaging;
 };

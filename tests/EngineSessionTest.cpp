@@ -306,9 +306,10 @@ TEST(EngineSession, SingleSessionRlStepIsTheOneLaneFleetStep) {
 }
 
 TEST(EngineSession, WarmRlTrainingLoopAllocatesNothing) {
-  // DESIGN.md §7: once warm, a TR loop's RL au_NN (gather, exploration,
-  // recording into the wrapped replay ring, minibatch training and target
-  // syncs) allocates nothing.
+  // DESIGN.md §7: once warm, a TR loop's primitives allocate nothing: the
+  // RL au_NN (exploration, recording into the wrapped replay ring,
+  // minibatch training and target syncs), the serialize copy, and the
+  // checkpoint/restore copies of sigma and pi.
   Engine Eng;
   Session S(Eng, Mode::TR);
   RlModel *M = configureAgent(S, /*ReplayCapacity=*/500);
@@ -316,16 +317,28 @@ TEST(EngineSession, WarmRlTrainingLoopAllocatesNothing) {
   std::vector<NameId> Parts = {S.intern("px"), S.intern("py"),
                                S.intern("pz")};
   WriteBackHandle Out{S.intern("act"), RlActions};
+  // Program state sigma: a POD region, checkpointed at each episode start
+  // and rolled back at each terminal, as rl_flappy's loop does.
+  float World[4] = {0.0f, 0.0f, 0.0f, 0.0f};
+  S.checkpoints().registerRegion(World, sizeof(World));
 
   auto Step = [&](int I) {
+    if (I % 50 == 0) {
+      World[0] = static_cast<float>(I); // This episode's start state.
+      S.checkpoint();
+    }
+    World[I % 4] += 1.0f;
     for (size_t J = 0; J != Parts.size(); ++J)
       S.extract(Parts[J], std::sin(0.1f * static_cast<float>(I) +
                                    static_cast<float>(J)));
     NameId Ext = S.serialize(Parts);
+    const bool Terminal = I % 50 == 49;
     S.nn(ModelId, Ext, /*Reward=*/std::cos(0.3f * static_cast<float>(I)),
-         /*Terminal=*/I % 50 == 49, Out);
+         Terminal, Out);
     int Action = -1;
     S.writeBack(Out.Name, RlActions, &Action);
+    if (Terminal)
+      S.restore();
   };
 
   // 600 steps: the 500-transition ring has wrapped and every buffer has
@@ -337,6 +350,7 @@ TEST(EngineSession, WarmRlTrainingLoopAllocatesNothing) {
   ASSERT_GT(heapAllocs(), 0);
   long ObservedBefore = M->learner()->stepsObserved();
   long TrainedBefore = M->learner()->trainStepsRun();
+  SessionStats StatsBefore = S.stats();
 
   long Before = heapAllocs();
   for (int I = 600; I < 800; ++I)
@@ -347,6 +361,12 @@ TEST(EngineSession, WarmRlTrainingLoopAllocatesNothing) {
   // The measured window trained and crossed a target sync.
   EXPECT_GT(M->learner()->trainStepsRun(), TrainedBefore);
   EXPECT_NE(ObservedBefore / 50, M->learner()->stepsObserved() / 50);
+  // It checkpointed and restored every episode, and the last restore
+  // rolled sigma back to the episode start.
+  EXPECT_EQ(S.stats().NumCheckpoint - StatsBefore.NumCheckpoint, 4u);
+  EXPECT_EQ(S.stats().NumRestore - StatsBefore.NumRestore, 4u);
+  EXPECT_FLOAT_EQ(World[0], 750.0f);
+  EXPECT_FLOAT_EQ(World[1], 0.0f);
 }
 
 //===----------------------------------------------------------------------===//
