@@ -4,7 +4,9 @@
 // against the scalar per-sample layer kernels (the test oracle, reported
 // as backend "naive") on the repo's real model shapes (Canny Raw 32x32
 // frames, the RL harness 20x20 frames, and the dense heads), plus an
-// end-to-end supervised epoch per engine. Prints one JSON line per case:
+// end-to-end supervised epoch per engine and the DQN's two per-call costs
+// (one minibatch train step and one greedy 1-row act on the 5-32-32-2
+// network). Prints one JSON line per case:
 //
 //   {"bench": "...", "backend": "...", "threads": N, "ns_per_iter": ...}
 //
@@ -18,6 +20,7 @@
 #include "nn/Gemm.h"
 #include "nn/Layers.h"
 #include "nn/Network.h"
+#include "nn/QLearner.h"
 #include "nn/Supervised.h"
 #include "support/Rng.h"
 #include "support/ThreadPool.h"
@@ -221,6 +224,48 @@ void benchEndToEndEpoch(const std::vector<int> &ThreadsSet) {
   }
 }
 
+/// The DQN of the Flappy/Mario RL loops (5 features, 32-32 hidden, 2
+/// actions): one QLearner minibatch step at batch 32 after warm-up, and one
+/// greedy 1-row forward, per engine at one thread. A train-step iteration
+/// is one observed transition with TrainInterval 1, so it also carries the
+/// replay push and the schedule decay (both well under 1% of the step).
+void benchDqnCases() {
+  const int D = 5, Actions = 2;
+  ThreadPool::setGlobalThreads(1);
+  for (Backend B : batchedBackends()) {
+    setBackend(B);
+    QConfig Cfg;
+    Cfg.WarmupSteps = 64;
+    QLearner Q([] {
+      Rng NetRand(7);
+      return buildDnn(D, {32, 32}, Actions, NetRand);
+    }, Actions, Cfg, /*Seed=*/11);
+    Rng Rand(3);
+    std::vector<float> State(D), Next(D);
+    for (float &V : Next)
+      V = static_cast<float>(Rand.uniform(-1, 1));
+    auto Observe = [&] {
+      State = Next;
+      for (float &V : Next)
+        V = static_cast<float>(Rand.uniform(-1, 1));
+      int Action = static_cast<int>(Rand.uniformInt(Actions));
+      Q.observeActor(0, State.data(), D, Action,
+                     static_cast<float>(Rand.uniform(-1, 1)), Next.data(), D,
+                     Rand.chance(0.05));
+      Q.finishTick(1);
+    };
+    for (int I = 0; I < 2 * Cfg.WarmupSteps; ++I)
+      Observe(); // Fills the replay past one minibatch; training has begun.
+    printCase("dqn_train_step_5x32x32x2", backendName(B), 1, timeNs(Observe));
+    int Action = 0;
+    double Act = timeNs([&] {
+      Q.selectActionsBatch(State.data(), 1, D, /*Learning=*/false, &Action);
+      Sink = static_cast<float>(Action);
+    });
+    printCase("dqn_act_1x5", backendName(B), 1, Act);
+  }
+}
+
 } // namespace
 
 int main() {
@@ -242,5 +287,9 @@ int main() {
   benchDenseCase("dense_fwd_bwd_1024x64", 1024, 64, 32, ThreadsSet);
 
   benchEndToEndEpoch(ThreadsSet);
+
+  // The DQN's per-call costs (what perfbench rl_flappy's learn and deploy
+  // steps spend in au_NN), per engine.
+  benchDqnCases();
   return 0;
 }

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cfloat>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -167,6 +168,13 @@ void sgemmBlockedCore(int M, int N, int K, float Alpha, const float *AP,
   });
 }
 
+/// Row panels per pool chunk for an N x K simd product: each 6-row panel
+/// costs MR * K * N multiply-adds.
+size_t simdPanelGrain(int N, int K) {
+  return ThreadPool::grainFor(static_cast<size_t>(simd::MR) * std::max(1, K) *
+                              std::max(1, N));
+}
+
 /// Panel-packed simd GEMM core: row panels of 6 are distributed across the
 /// pool; panel boundaries are a pure function of M, and each C element is one
 /// k-ascending FMA chain, so results are thread-count independent. BiasRow,
@@ -176,10 +184,7 @@ void sgemmSimdCore(int M, int N, int K, float Alpha, const float *APanels,
                    const float *BPanels, float Beta, float *C, int Ldc,
                    const float *BiasRow = nullptr) {
   size_t NPanels = static_cast<size_t>(simd::numAPanels(M));
-  size_t FlopsPerPanel =
-      static_cast<size_t>(simd::MR) * std::max(1, K) * std::max(1, N);
-  ThreadPool::global().parallelFor(0, NPanels,
-                                   ThreadPool::grainFor(FlopsPerPanel),
+  ThreadPool::global().parallelFor(0, NPanels, simdPanelGrain(N, K),
                                    [&](size_t PB, size_t PE) {
     simd::microKernelRange(static_cast<int>(PB), static_cast<int>(PE), M, N,
                            K, Alpha, APanels, BPanels, Beta, BiasRow, C, Ldc);
@@ -201,6 +206,13 @@ void scaleC(int M, int N, float Beta, float *C, int Ldc) {
 
 } // namespace
 
+bool au::nn::directGemm(int M, int N, int K) {
+  size_t Panels = static_cast<size_t>(simd::numAPanels(M));
+  return ThreadPool::runsInline(Panels, simdPanelGrain(N, K)) &&
+         static_cast<size_t>(K) * (static_cast<size_t>(M) + N) <=
+             DirectGemmMaxFloats;
+}
+
 void au::nn::sgemm(bool TransA, bool TransB, int M, int N, int K, float Alpha,
                    const float *A, int Lda, const float *B, int Ldb,
                    float Beta, float *C, int Ldc) {
@@ -213,6 +225,11 @@ void au::nn::sgemm(bool TransA, bool TransB, int M, int N, int K, float Alpha,
   }
 
   if (backend() == Backend::Simd) {
+    if (!TransB && directGemm(M, N, K)) {
+      simd::directKernel(M, N, K, Alpha, A, Lda, TransA, B, Ldb,
+                         /*BPacked=*/false, Beta, C, Ldc);
+      return;
+    }
     float *AP = reserveScratch(PackABuf, simd::aPanelsSize(M, K));
     simd::packAPanels(A, Lda, TransA, M, K, AP);
     float *BP = reserveScratch(PackBBuf, simd::bPanelsSize(K, N));
@@ -343,6 +360,11 @@ void au::nn::sgemmPackedB(bool TransA, const PackedOperand &PB, int M, int N,
     return;
   }
   if (PB.For == Backend::Simd) {
+    if (directGemm(M, N, K)) {
+      simd::directKernel(M, N, K, Alpha, A, Lda, TransA, PB.Data.data(), 0,
+                         /*BPacked=*/true, Beta, C, Ldc);
+      return;
+    }
     float *AP = reserveScratch(PackABuf, simd::aPanelsSize(M, K));
     simd::packAPanels(A, Lda, TransA, M, K, AP);
     sgemmSimdCore(M, N, K, Alpha, AP, PB.Data.data(), Beta, C, Ldc);
@@ -415,21 +437,29 @@ double au::nn::mseBatchKernel(const float *P, const float *T, float *G,
 }
 
 void au::nn::adamUpdateKernel(float *W, float *G, float *M, float *V,
-                              size_t N, float Lr, float B1, float B2,
-                              float Eps, float InvBias1, float InvBias2,
-                              float Scale) {
+                              size_t N, double Lr, double B1, double B2,
+                              double Eps, double Bias1, double Bias2,
+                              double Scale) {
   if (simdKernelsActive()) {
-    simd::adamUpdateAvx(W, G, M, V, N, Lr, B1, B2, Eps, InvBias1, InvBias2,
-                        Scale);
+    simd::adamUpdateAvx(W, G, M, V, N, static_cast<float>(Lr),
+                        static_cast<float>(B1), static_cast<float>(B2),
+                        static_cast<float>(Eps),
+                        static_cast<float>(1.0 / Bias1),
+                        static_cast<float>(1.0 / Bias2),
+                        static_cast<float>(Scale));
     return;
   }
   for (size_t I = 0; I != N; ++I) {
-    float Gs = G[I] * Scale;
-    M[I] = B1 * M[I] + (1.0f - B1) * Gs;
-    V[I] = B2 * V[I] + (1.0f - B2) * Gs * Gs;
-    float MHat = M[I] * InvBias1;
-    float VHat = V[I] * InvBias2;
-    W[I] -= Lr * MHat / (std::sqrt(VHat) + Eps);
+    double G1 = G[I] * Scale;
+    M[I] = static_cast<float>(B1 * M[I] + (1.0 - B1) * G1);
+    V[I] = static_cast<float>(B2 * V[I] + (1.0 - B2) * G1 * G1);
+    if (std::fabs(M[I]) < FLT_MIN)
+      M[I] = 0.0f;
+    if (std::fabs(V[I]) < FLT_MIN)
+      V[I] = 0.0f;
+    double MHat = M[I] / Bias1;
+    double VHat = V[I] / Bias2;
+    W[I] -= static_cast<float>(Lr * MHat / (std::sqrt(VHat) + Eps));
     G[I] = 0.0f;
   }
 }

@@ -14,8 +14,11 @@
 ///
 /// Two engines are selectable at runtime via AU_NN_BACKEND:
 ///
-///  * simd    — AVX2/FMA 6x16 register-tile micro-kernel over panel-packed
-///              operands (the default when the CPU supports AVX2 and FMA).
+///  * simd    — AVX2/FMA 6x16 register-tile micro-kernel (the default when
+///              the CPU supports AVX2 and FMA). Products that run inline and
+///              fit in L1 (directGemm) read their operands in place; larger
+///              ones run over panel-packed operands, row panels spread over
+///              the pool. Both paths give bitwise identical results.
 ///  * blocked — the portable blocked-scalar kernel; also the fallback on
 ///              CPUs without AVX2/FMA, and the reference rounding the simd
 ///              tests compare against.
@@ -28,6 +31,11 @@
 /// Weight matrices can be pre-packed once into the active engine's fast
 /// layout and cached on the layer (a PackedOperand), invalidated by the
 /// layer's parameter-generation counter; see DESIGN.md §9.
+///
+/// The fused Adam kernel stores any moment with magnitude below FLT_MIN as
+/// zero, so optimizer state never turns subnormal; the flush lives in the
+/// kernel rather than in the thread's MXCSR, which belongs to the host
+/// program.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -81,6 +89,18 @@ const char *backendName(Backend B);
 void sgemm(bool TransA, bool TransB, int M, int N, int K, float Alpha,
            const float *A, int Lda, const float *B, int Ldb, float Beta,
            float *C, int Ldc);
+
+/// Operand floats, K * (M + N), up to which an M x N x K product counts as
+/// L1-resident. With ThreadPool::MinChunkWork it forms the direct-path rule
+/// below; chosen from a kernel sweep (CHANGES.md).
+constexpr size_t DirectGemmMaxFloats = 8192;
+
+/// Whether the simd engine runs sgemm (non-transposed B) and sgemmPackedB
+/// for an M x N x K product on the direct path, reading op(A) and op(B) in
+/// place instead of packing them: the product runs inline under the pool's
+/// dispatch rule (under two chunks of ThreadPool::MinChunkWork) and its
+/// operands fit in DirectGemmMaxFloats.
+bool directGemm(int M, int N, int K);
 
 //===----------------------------------------------------------------------===//
 // Pre-packed weight operands (DESIGN.md §9: packing lifecycle)
@@ -157,12 +177,17 @@ void biasAddRowsKernel(float *Y, const float *Bias, int Rows, int Cols);
 double mseBatchKernel(const float *P, const float *T, float *G, int Rows,
                       int Cols);
 
-/// Fused Adam update over one parameter tensor under the simd engine:
-/// single-precision moment update, bias correction, parameter step, and
-/// gradient clear in one pass. InvBias1/InvBias2 are 1 / (1 - beta^t).
+/// Fused Adam update over one parameter tensor: moment update, bias
+/// correction, parameter step and gradient clear in one pass, with the
+/// gradient scaled by \p Scale. Bias1/Bias2 are 1 - beta^t. A moment whose
+/// magnitude falls below FLT_MIN is stored as zero: √V̂ is then far under
+/// Eps and the weight step under 1e-30, so the flush changes only weights
+/// that were already frozen, and the next update never reads a subnormal.
+/// The simd engine runs in single precision (vectorized); the blocked
+/// engine in double precision, rounding each stored value once.
 void adamUpdateKernel(float *W, float *G, float *M, float *V, size_t N,
-                      float Lr, float B1, float B2, float Eps, float InvBias1,
-                      float InvBias2, float Scale);
+                      double Lr, double B1, double B2, double Eps,
+                      double Bias1, double Bias2, double Scale);
 
 /// Whether the elementwise/optimizer kernels above take their vectorized
 /// simd forms (active backend is simd on supported hardware).

@@ -9,7 +9,9 @@
 // (6 rows x two 8-lane vectors) fed by one broadcast per A element and two
 // FMAs, the classic BLIS-style inner loop. Each C element is produced by a
 // single k-ascending FMA chain, so results do not depend on how row panels
-// are scheduled across threads.
+// are scheduled across threads. One tile template reads either packed
+// panels or, on the direct path, the caller's matrices through their
+// strides; the chain is the same, so both paths agree bitwise.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,10 +20,13 @@
 
 #if defined(__AVX2__) && defined(__FMA__)
 
+#include <array>
 #include <cassert>
+#include <cfloat>
 #include <cmath>
 #include <cstring>
 #include <immintrin.h>
+#include <utility>
 
 using namespace au;
 using namespace au::nn;
@@ -29,10 +34,12 @@ using namespace au::nn::simd;
 
 namespace {
 
-/// Mask with the first \p N of 8 lanes enabled (0 < N < 8).
+/// Mask with the first \p N of 8 lanes enabled: every lane when N >= 8,
+/// none when N <= 0.
 inline __m256i tailMask(int N) {
   alignas(32) static const int Bits[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
                                            0,  0,  0,  0,  0,  0,  0,  0};
+  N = N < 0 ? 0 : N > 8 ? 8 : N;
   return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Bits + 8 - N));
 }
 
@@ -58,179 +65,162 @@ inline void storeGroup(float *Dst, __m256 Acc, int Count, __m256 AlphaV,
   _mm256_maskstore_ps(Dst, Msk, R);
 }
 
-/// One R x 16 register tile: rows [RowBase, RowBase + R) of C against one
-/// B panel. R is a compile-time constant and every accumulator is an
-/// individually named __m256 guarded by if constexpr — an Acc[R] array here
-/// makes GCC spill the whole tile to the stack on every k iteration,
-/// roughly halving throughput. A non-null \p BiasRow seeds each row's
-/// accumulators with BiasRow[row] (requires Alpha == 1, Beta == 0), fusing
-/// the conv bias fill into the GEMM.
-template <int R>
-void panelTile(const float *APan, const float *BPan, int RowBase, int J0,
-               int Cols, int K, __m256 AlphaV, float Beta, __m256 BetaV,
-               const float *BiasRow, float *C, int Ldc) {
-  static_assert(R >= 1 && R <= MR, "row count exceeds the register tile");
-  {
-    __m256 Z = _mm256_setzero_ps();
-    __m256 Acc00 = Z, Acc01 = Z, Acc10 = Z, Acc11 = Z, Acc20 = Z, Acc21 = Z,
-           Acc30 = Z, Acc31 = Z, Acc40 = Z, Acc41 = Z, Acc50 = Z, Acc51 = Z;
-    if (BiasRow) {
-      Acc00 = Acc01 = _mm256_set1_ps(BiasRow[RowBase]);
-      if constexpr (R > 1)
-        Acc10 = Acc11 = _mm256_set1_ps(BiasRow[RowBase + 1]);
-      if constexpr (R > 2)
-        Acc20 = Acc21 = _mm256_set1_ps(BiasRow[RowBase + 2]);
-      if constexpr (R > 3)
-        Acc30 = Acc31 = _mm256_set1_ps(BiasRow[RowBase + 3]);
-      if constexpr (R > 4)
-        Acc40 = Acc41 = _mm256_set1_ps(BiasRow[RowBase + 4]);
-      if constexpr (R > 5)
-        Acc50 = Acc51 = _mm256_set1_ps(BiasRow[RowBase + 5]);
-    }
-    const float *AK = APan;
-    const float *BK = BPan;
-    for (int Kk = 0; Kk < K; ++Kk, AK += MR, BK += NR) {
-      __m256 B0 = _mm256_loadu_ps(BK);
-      __m256 B1 = _mm256_loadu_ps(BK + 8);
-      __m256 A = _mm256_broadcast_ss(AK);
-      Acc00 = _mm256_fmadd_ps(A, B0, Acc00);
-      Acc01 = _mm256_fmadd_ps(A, B1, Acc01);
-      if constexpr (R > 1) {
-        A = _mm256_broadcast_ss(AK + 1);
-        Acc10 = _mm256_fmadd_ps(A, B0, Acc10);
-        Acc11 = _mm256_fmadd_ps(A, B1, Acc11);
-      }
-      if constexpr (R > 2) {
-        A = _mm256_broadcast_ss(AK + 2);
-        Acc20 = _mm256_fmadd_ps(A, B0, Acc20);
-        Acc21 = _mm256_fmadd_ps(A, B1, Acc21);
-      }
-      if constexpr (R > 3) {
-        A = _mm256_broadcast_ss(AK + 3);
-        Acc30 = _mm256_fmadd_ps(A, B0, Acc30);
-        Acc31 = _mm256_fmadd_ps(A, B1, Acc31);
-      }
-      if constexpr (R > 4) {
-        A = _mm256_broadcast_ss(AK + 4);
-        Acc40 = _mm256_fmadd_ps(A, B0, Acc40);
-        Acc41 = _mm256_fmadd_ps(A, B1, Acc41);
-      }
-      if constexpr (R > 5) {
-        A = _mm256_broadcast_ss(AK + 5);
-        Acc50 = _mm256_fmadd_ps(A, B0, Acc50);
-        Acc51 = _mm256_fmadd_ps(A, B1, Acc51);
-      }
-    }
-    float *CRow = C + static_cast<size_t>(RowBase) * Ldc + J0;
-    storeGroup(CRow, Acc00, Cols, AlphaV, Beta, BetaV);
-    storeGroup(CRow + 8, Acc01, Cols - 8, AlphaV, Beta, BetaV);
-    if constexpr (R > 1) {
-      CRow += Ldc;
-      storeGroup(CRow, Acc10, Cols, AlphaV, Beta, BetaV);
-      storeGroup(CRow + 8, Acc11, Cols - 8, AlphaV, Beta, BetaV);
-    }
-    if constexpr (R > 2) {
-      CRow += Ldc;
-      storeGroup(CRow, Acc20, Cols, AlphaV, Beta, BetaV);
-      storeGroup(CRow + 8, Acc21, Cols - 8, AlphaV, Beta, BetaV);
-    }
-    if constexpr (R > 3) {
-      CRow += Ldc;
-      storeGroup(CRow, Acc30, Cols, AlphaV, Beta, BetaV);
-      storeGroup(CRow + 8, Acc31, Cols - 8, AlphaV, Beta, BetaV);
-    }
-    if constexpr (R > 4) {
-      CRow += Ldc;
-      storeGroup(CRow, Acc40, Cols, AlphaV, Beta, BetaV);
-      storeGroup(CRow + 8, Acc41, Cols - 8, AlphaV, Beta, BetaV);
-    }
-    if constexpr (R > 5) {
-      CRow += Ldc;
-      storeGroup(CRow, Acc50, Cols, AlphaV, Beta, BetaV);
-      storeGroup(CRow + 8, Acc51, Cols - 8, AlphaV, Beta, BetaV);
-    }
-  }
+/// Loads one 8-lane group of a B row: a full vector from a zero-padded
+/// packed panel, or a masked load from the caller's matrix, which touches no
+/// column past the last live one.
+template <bool DirectB>
+inline __m256 loadGroup(const float *P, __m256i Mask) {
+  if constexpr (DirectB)
+    return _mm256_maskload_ps(P, Mask);
+  else
+    return _mm256_loadu_ps(P);
 }
 
-/// Half-width variant of panelTile for a trailing B panel with at most 8
-/// live columns: only the low 8-lane group is loaded, accumulated, and
-/// stored, halving the FMA work the zero-padded lanes would otherwise burn.
-/// Live lanes see the identical k-ascending chain, so results are unchanged.
-template <int R>
-void panelTileHalf(const float *APan, const float *BPan, int RowBase, int J0,
-                   int Cols, int K, __m256 AlphaV, float Beta, __m256 BetaV,
-                   const float *BiasRow, float *C, int Ldc) {
+/// Folds one broadcast A element into a row's accumulators.
+template <int Groups>
+inline void fmaRow(__m256 A, __m256 B0, __m256 B1, __m256 &Lo, __m256 &Hi) {
+  Lo = _mm256_fmadd_ps(A, B0, Lo);
+  if constexpr (Groups == 2)
+    Hi = _mm256_fmadd_ps(A, B1, Hi);
+}
+
+/// Writes one row of a tile (see storeGroup).
+template <int Groups>
+inline void storeRow(float *CRow, __m256 Lo, __m256 Hi, int Cols,
+                     __m256 AlphaV, float Beta, __m256 BetaV) {
+  storeGroup(CRow, Lo, Cols, AlphaV, Beta, BetaV);
+  if constexpr (Groups == 2)
+    storeGroup(CRow + 8, Hi, Cols - 8, AlphaV, Beta, BetaV);
+}
+
+/// One R x (8 * Groups) register tile: rows [RowBase, RowBase + R) of C
+/// against columns [J0, J0 + 8 * Groups) of one 16-column B panel. Groups is
+/// 1 for a trailing panel with at most 8 live columns, so the zero-padded
+/// upper group is neither loaded nor accumulated.
+///
+/// The operand layout is a compile-time choice:
+///  * packed (DirectA/DirectB false): \p A is the row panel, op(A)(RowBase +
+///    r, k) at A[k * MR + r], and \p B is the B panel, op(B)(k, J0 + c) at
+///    B[k * NR + c], zero-padded, so every load is a full vector;
+///  * direct: \p A points at op(A)(RowBase, 0) in the caller's matrix, with
+///    op(A)(RowBase + r, k) at A[r * ARowStride + k * AKStride] for either
+///    transpose, and \p B at op(B)(0, J0) in the caller's non-transposed
+///    matrix, op(B)(k, J0 + c) at B[k * Ldb + c], read with masked loads.
+/// Each C element is the same k-ascending FMA chain from the same seed
+/// through the same store in every layout, so the layouts agree bitwise.
+///
+/// R is a compile-time constant and every accumulator is an individually
+/// named __m256 guarded by if constexpr — an Acc[R] array here makes GCC
+/// spill the whole tile to the stack on every k iteration, roughly halving
+/// throughput. A non-null \p BiasRow seeds each row's accumulators with
+/// BiasRow[row] (requires Alpha == 1, Beta == 0), fusing the conv bias fill
+/// into the GEMM.
+template <int R, int Groups, bool DirectA, bool DirectB>
+void panelTile(const float *A, size_t ARowStride, size_t AKStride,
+               const float *B, size_t Ldb, int RowBase, int J0, int Cols,
+               int K, float Alpha, float Beta, const float *BiasRow, float *C,
+               int Ldc) {
   static_assert(R >= 1 && R <= MR, "row count exceeds the register tile");
+  static_assert(Groups == 1 || Groups == 2, "a B panel is two lane groups");
+  const __m256 AlphaV = _mm256_set1_ps(Alpha), BetaV = _mm256_set1_ps(Beta);
+  const size_t RS = DirectA ? ARowStride : 1;
+  const size_t KS = DirectA ? AKStride : MR;
+  const size_t BS = DirectB ? Ldb : NR;
+  const __m256i Mask0 = tailMask(Cols), Mask1 = tailMask(Cols - 8);
   __m256 Z = _mm256_setzero_ps();
-  __m256 Acc0 = Z, Acc1 = Z, Acc2 = Z, Acc3 = Z, Acc4 = Z, Acc5 = Z;
+  __m256 Acc00 = Z, Acc01 = Z, Acc10 = Z, Acc11 = Z, Acc20 = Z, Acc21 = Z,
+         Acc30 = Z, Acc31 = Z, Acc40 = Z, Acc41 = Z, Acc50 = Z, Acc51 = Z;
   if (BiasRow) {
-    Acc0 = _mm256_set1_ps(BiasRow[RowBase]);
+    Acc00 = Acc01 = _mm256_set1_ps(BiasRow[RowBase]);
     if constexpr (R > 1)
-      Acc1 = _mm256_set1_ps(BiasRow[RowBase + 1]);
+      Acc10 = Acc11 = _mm256_set1_ps(BiasRow[RowBase + 1]);
     if constexpr (R > 2)
-      Acc2 = _mm256_set1_ps(BiasRow[RowBase + 2]);
+      Acc20 = Acc21 = _mm256_set1_ps(BiasRow[RowBase + 2]);
     if constexpr (R > 3)
-      Acc3 = _mm256_set1_ps(BiasRow[RowBase + 3]);
+      Acc30 = Acc31 = _mm256_set1_ps(BiasRow[RowBase + 3]);
     if constexpr (R > 4)
-      Acc4 = _mm256_set1_ps(BiasRow[RowBase + 4]);
+      Acc40 = Acc41 = _mm256_set1_ps(BiasRow[RowBase + 4]);
     if constexpr (R > 5)
-      Acc5 = _mm256_set1_ps(BiasRow[RowBase + 5]);
+      Acc50 = Acc51 = _mm256_set1_ps(BiasRow[RowBase + 5]);
   }
-  const float *AK = APan;
-  const float *BK = BPan;
-  for (int Kk = 0; Kk < K; ++Kk, AK += MR, BK += NR) {
-    __m256 B0 = _mm256_loadu_ps(BK);
-    Acc0 = _mm256_fmadd_ps(_mm256_broadcast_ss(AK), B0, Acc0);
+  const float *AK = A;
+  const float *BK = B;
+  for (int Kk = 0; Kk < K; ++Kk, AK += KS, BK += BS) {
+    __m256 B0 = loadGroup<DirectB>(BK, Mask0);
+    __m256 B1 = Z;
+    if constexpr (Groups == 2)
+      B1 = loadGroup<DirectB>(BK + 8, Mask1);
+    fmaRow<Groups>(_mm256_broadcast_ss(AK), B0, B1, Acc00, Acc01);
     if constexpr (R > 1)
-      Acc1 = _mm256_fmadd_ps(_mm256_broadcast_ss(AK + 1), B0, Acc1);
+      fmaRow<Groups>(_mm256_broadcast_ss(AK + RS), B0, B1, Acc10, Acc11);
     if constexpr (R > 2)
-      Acc2 = _mm256_fmadd_ps(_mm256_broadcast_ss(AK + 2), B0, Acc2);
+      fmaRow<Groups>(_mm256_broadcast_ss(AK + 2 * RS), B0, B1, Acc20, Acc21);
     if constexpr (R > 3)
-      Acc3 = _mm256_fmadd_ps(_mm256_broadcast_ss(AK + 3), B0, Acc3);
+      fmaRow<Groups>(_mm256_broadcast_ss(AK + 3 * RS), B0, B1, Acc30, Acc31);
     if constexpr (R > 4)
-      Acc4 = _mm256_fmadd_ps(_mm256_broadcast_ss(AK + 4), B0, Acc4);
+      fmaRow<Groups>(_mm256_broadcast_ss(AK + 4 * RS), B0, B1, Acc40, Acc41);
     if constexpr (R > 5)
-      Acc5 = _mm256_fmadd_ps(_mm256_broadcast_ss(AK + 5), B0, Acc5);
+      fmaRow<Groups>(_mm256_broadcast_ss(AK + 5 * RS), B0, B1, Acc50, Acc51);
   }
   float *CRow = C + static_cast<size_t>(RowBase) * Ldc + J0;
-  storeGroup(CRow, Acc0, Cols, AlphaV, Beta, BetaV);
-  if constexpr (R > 1) {
-    CRow += Ldc;
-    storeGroup(CRow, Acc1, Cols, AlphaV, Beta, BetaV);
-  }
-  if constexpr (R > 2) {
-    CRow += Ldc;
-    storeGroup(CRow, Acc2, Cols, AlphaV, Beta, BetaV);
-  }
-  if constexpr (R > 3) {
-    CRow += Ldc;
-    storeGroup(CRow, Acc3, Cols, AlphaV, Beta, BetaV);
-  }
-  if constexpr (R > 4) {
-    CRow += Ldc;
-    storeGroup(CRow, Acc4, Cols, AlphaV, Beta, BetaV);
-  }
-  if constexpr (R > 5) {
-    CRow += Ldc;
-    storeGroup(CRow, Acc5, Cols, AlphaV, Beta, BetaV);
-  }
+  storeRow<Groups>(CRow, Acc00, Acc01, Cols, AlphaV, Beta, BetaV);
+  if constexpr (R > 1)
+    storeRow<Groups>(CRow += Ldc, Acc10, Acc11, Cols, AlphaV, Beta, BetaV);
+  if constexpr (R > 2)
+    storeRow<Groups>(CRow += Ldc, Acc20, Acc21, Cols, AlphaV, Beta, BetaV);
+  if constexpr (R > 3)
+    storeRow<Groups>(CRow += Ldc, Acc30, Acc31, Cols, AlphaV, Beta, BetaV);
+  if constexpr (R > 4)
+    storeRow<Groups>(CRow += Ldc, Acc40, Acc41, Cols, AlphaV, Beta, BetaV);
+  if constexpr (R > 5)
+    storeRow<Groups>(CRow += Ldc, Acc50, Acc51, Cols, AlphaV, Beta, BetaV);
 }
 
-/// Dispatches one register tile at compile-time row count \p R, taking the
-/// half-width path when the panel has at most 8 live columns.
-template <int R>
-inline void panelTileDispatch(const float *APan, const float *BPan,
-                              int RowBase, int J0, int Cols, int K,
-                              __m256 AlphaV, float Beta, __m256 BetaV,
-                              const float *BiasRow, float *C, int Ldc) {
-  if (Cols <= 8)
-    panelTileHalf<R>(APan, BPan, RowBase, J0, Cols, K, AlphaV, Beta, BetaV,
-                     BiasRow, C, Ldc);
-  else
-    panelTile<R>(APan, BPan, RowBase, J0, Cols, K, AlphaV, Beta, BetaV,
-                 BiasRow, C, Ldc);
-}
+/// The tile instances of one operand layout, indexed by [Groups - 1][R - 1].
+template <bool DirectA, bool DirectB> struct TileTable {
+  using Fn = decltype(&panelTile<1, 1, DirectA, DirectB>);
+  template <int Groups, int... Rs>
+  static constexpr std::array<Fn, MR> row(std::integer_sequence<int, Rs...>) {
+    return {&panelTile<Rs + 1, Groups, DirectA, DirectB>...};
+  }
+  static constexpr std::array<Fn, MR> Half =
+      row<1>(std::make_integer_sequence<int, MR>());
+  static constexpr std::array<Fn, MR> Full =
+      row<2>(std::make_integer_sequence<int, MR>());
+};
 
+/// Computes the row panels [PanelBegin, PanelEnd) of C against every B
+/// panel in one operand layout (see panelTile for what \p A, \p B and the
+/// strides mean per layout).
+template <bool DirectA, bool DirectB>
+void tileRange(int PanelBegin, int PanelEnd, int M, int N, int K,
+               float Alpha, const float *A, size_t ARowStride,
+               size_t AKStride, const float *B, size_t Ldb, float Beta,
+               const float *BiasRow, float *C, int Ldc) {
+  assert((!BiasRow || (Alpha == 1.0f && Beta == 0.0f)) &&
+         "bias fusion requires a plain C = A*B + bias store");
+  using Tiles = TileTable<DirectA, DirectB>;
+  const int NPanels = numBPanels(N);
+  // B panels on the outside: one K x 16 panel stays L1-resident while every
+  // A panel of this thread's range streams past it. The full B panel set can
+  // exceed L1 (e.g. 50KB for the CNN stage-2 conv), so the P-outer order
+  // would re-stream it once per row panel. Tile order does not change
+  // results: each C element is still one k-ascending FMA chain.
+  for (int Q = 0; Q < NPanels; ++Q) {
+    const int J0 = Q * NR;
+    const float *BPan = DirectB ? B + J0 : B + static_cast<size_t>(Q) * K * NR;
+    const int Cols = N - J0; // >= 1; may exceed NR on interior panels.
+    const auto &Row = Cols <= 8 ? Tiles::Half : Tiles::Full;
+    for (int P = PanelBegin; P < PanelEnd; ++P) {
+      const int Row0 = P * MR;
+      const float *APan = DirectA ? A + Row0 * ARowStride
+                                  : A + static_cast<size_t>(P) * K * MR;
+      const int Live = M - Row0 < MR ? M - Row0 : MR;
+      Row[Live - 1](APan, ARowStride, AKStride, BPan, Ldb, Row0, J0, Cols, K,
+                    Alpha, Beta, BiasRow, C, Ldc);
+    }
+  }
+}
 } // namespace
 
 void simd::packAPanels(const float *A, int Lda, bool Trans, int M, int K,
@@ -293,52 +283,23 @@ void simd::microKernelRange(int PanelBegin, int PanelEnd, int M, int N, int K,
                             float Alpha, const float *APanels,
                             const float *BPanels, float Beta,
                             const float *BiasRow, float *C, int Ldc) {
-  assert((!BiasRow || (Alpha == 1.0f && Beta == 0.0f)) &&
-         "bias fusion requires a plain C = A*B + bias store");
-  const int NPanels = numBPanels(N);
-  const __m256 AlphaV = _mm256_set1_ps(Alpha);
-  const __m256 BetaV = _mm256_set1_ps(Beta);
-  // B panels on the outside: one K x 16 panel stays L1-resident while every
-  // A panel of this thread's range streams past it. The full B panel set can
-  // exceed L1 (e.g. 50KB for the CNN stage-2 conv), so the P-outer order
-  // would re-stream it once per row panel. Tile order does not change
-  // results: each C element is still one k-ascending FMA chain.
-  for (int Q = 0; Q < NPanels; ++Q) {
-    const float *BPan = BPanels + static_cast<size_t>(Q) * K * NR;
-    const int J0 = Q * NR;
-    const int Cols = N - J0; // >= 1; may exceed NR on interior panels.
-    for (int P = PanelBegin; P < PanelEnd; ++P) {
-      const float *APan = APanels + static_cast<size_t>(P) * K * MR;
-      int Row0 = P * MR;
-      int Live = M - Row0 < MR ? M - Row0 : MR;
-      switch (Live) {
-      case 1:
-        panelTileDispatch<1>(APan, BPan, Row0, J0, Cols, K, AlphaV, Beta,
-                             BetaV, BiasRow, C, Ldc);
-        break;
-      case 2:
-        panelTileDispatch<2>(APan, BPan, Row0, J0, Cols, K, AlphaV, Beta,
-                             BetaV, BiasRow, C, Ldc);
-        break;
-      case 3:
-        panelTileDispatch<3>(APan, BPan, Row0, J0, Cols, K, AlphaV, Beta,
-                             BetaV, BiasRow, C, Ldc);
-        break;
-      case 4:
-        panelTileDispatch<4>(APan, BPan, Row0, J0, Cols, K, AlphaV, Beta,
-                             BetaV, BiasRow, C, Ldc);
-        break;
-      case 5:
-        panelTileDispatch<5>(APan, BPan, Row0, J0, Cols, K, AlphaV, Beta,
-                             BetaV, BiasRow, C, Ldc);
-        break;
-      default:
-        panelTileDispatch<6>(APan, BPan, Row0, J0, Cols, K, AlphaV, Beta,
-                             BetaV, BiasRow, C, Ldc);
-        break;
-      }
-    }
-  }
+  tileRange<false, false>(PanelBegin, PanelEnd, M, N, K, Alpha, APanels, 0, 0,
+                          BPanels, 0, Beta, BiasRow, C, Ldc);
+}
+
+void simd::directKernel(int M, int N, int K, float Alpha, const float *A,
+                        int Lda, bool TransA, const float *B, int Ldb,
+                        bool BPacked, float Beta, float *C, int Ldc) {
+  // op(A)(i, k) is A[i * Lda + k], or A[k * Lda + i] when transposed.
+  const size_t RowStride = TransA ? 1 : static_cast<size_t>(Lda);
+  const size_t KStride = TransA ? static_cast<size_t>(Lda) : 1;
+  const int Panels = numAPanels(M);
+  if (BPacked)
+    tileRange<true, false>(0, Panels, M, N, K, Alpha, A, RowStride, KStride,
+                           B, 0, Beta, nullptr, C, Ldc);
+  else
+    tileRange<true, true>(0, Panels, M, N, K, Alpha, A, RowStride, KStride,
+                          B, static_cast<size_t>(Ldb), Beta, nullptr, C, Ldc);
 }
 
 namespace {
@@ -463,13 +424,21 @@ void simd::adamUpdateAvx(float *W, float *G, float *M, float *V, size_t N,
   const __m256 IB1 = _mm256_set1_ps(InvBias1), IB2 = _mm256_set1_ps(InvBias2);
   const __m256 ScaleV = _mm256_set1_ps(Scale);
   const __m256 Zero = _mm256_setzero_ps();
+  const __m256 AbsMask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
+  const __m256 MinNormal = _mm256_set1_ps(FLT_MIN);
+  // Zeroes the lanes with |X| < FLT_MIN (NaN lanes compare false and stay).
+  auto Flush = [&](__m256 X) {
+    __m256 Tiny =
+        _mm256_cmp_ps(_mm256_and_ps(X, AbsMask), MinNormal, _CMP_LT_OQ);
+    return _mm256_andnot_ps(Tiny, X);
+  };
   size_t I = 0;
   for (; I + 8 <= N; I += 8) {
     __m256 Gv = _mm256_mul_ps(_mm256_loadu_ps(G + I), ScaleV);
-    __m256 Mv = _mm256_fmadd_ps(B1V, _mm256_loadu_ps(M + I),
-                                _mm256_mul_ps(C1V, Gv));
-    __m256 Vv = _mm256_fmadd_ps(B2V, _mm256_loadu_ps(V + I),
-                                _mm256_mul_ps(C2V, _mm256_mul_ps(Gv, Gv)));
+    __m256 Mv = Flush(_mm256_fmadd_ps(B1V, _mm256_loadu_ps(M + I),
+                                      _mm256_mul_ps(C1V, Gv)));
+    __m256 Vv = Flush(_mm256_fmadd_ps(
+        B2V, _mm256_loadu_ps(V + I), _mm256_mul_ps(C2V, _mm256_mul_ps(Gv, Gv))));
     _mm256_storeu_ps(M + I, Mv);
     _mm256_storeu_ps(V + I, Vv);
     __m256 MHat = _mm256_mul_ps(Mv, IB1);
@@ -483,6 +452,10 @@ void simd::adamUpdateAvx(float *W, float *G, float *M, float *V, size_t N,
     float Gs = G[I] * Scale;
     M[I] = B1 * M[I] + (1.0f - B1) * Gs;
     V[I] = B2 * V[I] + (1.0f - B2) * Gs * Gs;
+    if (std::fabs(M[I]) < FLT_MIN)
+      M[I] = 0.0f;
+    if (std::fabs(V[I]) < FLT_MIN)
+      V[I] = 0.0f;
     float MHat = M[I] * InvBias1;
     float VHat = V[I] * InvBias2;
     W[I] -= Lr * MHat / (std::sqrt(VHat) + Eps);
@@ -513,6 +486,10 @@ void simd::packBPanels(const float *, int, bool, int, int, float *) {
 void simd::microKernelRange(int, int, int, int, int, float, const float *,
                             const float *, float, const float *, float *,
                             int) {
+  unreachableSimd();
+}
+void simd::directKernel(int, int, int, float, const float *, int, bool,
+                        const float *, int, bool, float, float *, int) {
   unreachableSimd();
 }
 void simd::im2colAvx(const float *, int, int, int, int, int, float *) {

@@ -16,6 +16,13 @@
 ///  * B panels: ceil(N/16) panels of [K][16] — BPanels[q][k*16 + c] holds
 ///    op(B)[k][q*16 + c], zero-padded past column N.
 ///
+/// One register-tile template serves both the packed path (microKernelRange
+/// over A and B panels) and the direct path (directKernel), which reads op(A)
+/// and a non-transposed op(B) in place through their strides. Each C element
+/// is one k-ascending FMA chain from the same seed through the same store on
+/// both paths, so they agree bitwise; the dispatcher picks the direct path
+/// for cache-resident products by one size rule (directGemm in Gemm.h).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef AU_NN_GEMMSIMDKERNELS_H
@@ -57,6 +64,17 @@ void microKernelRange(int PanelBegin, int PanelEnd, int M, int N, int K,
                       float Alpha, const float *APanels,
                       const float *BPanels, float Beta, const float *BiasRow,
                       float *C, int Ldc);
+
+/// C[M x N] = Alpha * op(A) * op(B) + Beta * C without packing op(A): it is
+/// read in place from \p A (row stride \p Lda, transposed per \p TransA).
+/// op(B) is read in place from the non-transposed \p B (row stride \p Ldb)
+/// with masked loads on the trailing columns, or, when \p BPacked, from the
+/// B panels in \p B (\p Ldb unused). Runs on the calling thread; bitwise
+/// identical to packAPanels/packBPanels + microKernelRange, and reads no
+/// element outside op(A), op(B) and the M x N block of C.
+void directKernel(int M, int N, int K, float Alpha, const float *A, int Lda,
+                  bool TransA, const float *B, int Ldb, bool BPacked,
+                  float Beta, float *C, int Ldc);
 
 /// im2col with inline AVX copies of the stride-1 row runs — bitwise
 /// identical output to au::nn::im2col, minus the per-run libc memcpy

@@ -115,12 +115,12 @@ Tensor Dense::backwardBatch(const Tensor &GradOut) {
   // ascending-sample accumulation per element — deterministic.
   sgemm(/*TransA=*/true, /*TransB=*/false, Out, In, BN, 1.0f, G, Out,
         LastInB.data(), In, 1.0f, GW.data(), In);
-  // Input gradients: GI = GradOut * W, with W served from the packed cache.
+  // Input gradients: GI = GradOut * W. No packed cache: the optimizer step
+  // that follows every backward bumps the generation, so it would be
+  // repacked on every use.
   Tensor GI = Workspace::acquire({BN, In});
-  ensurePackedB(PackedWB, paramGen(), /*TransB=*/false, Out, In, W.data(),
-                In);
-  sgemmPackedB(/*TransA=*/false, PackedWB, BN, In, Out, 1.0f, G, Out, 0.0f,
-               GI.data(), In);
+  sgemm(/*TransA=*/false, /*TransB=*/false, BN, In, Out, 1.0f, G, Out,
+        W.data(), In, 0.0f, GI.data(), In);
   return GI;
 }
 

@@ -59,7 +59,6 @@ private:
   Tensor LastIn;
   Tensor LastInB;        // Batched activation cache ([Batch, In]).
   PackedOperand PackedWT; // Forward operand op(B) = W^T, engine layout.
-  PackedOperand PackedWB; // Backward operand op(B) = W (input gradients).
 };
 
 /// Rectified linear unit, elementwise max(0, x).

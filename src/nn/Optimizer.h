@@ -59,6 +59,11 @@ public:
   void setLearningRate(double LearningRate) { Lr = LearningRate; }
   double learningRate() const { return Lr; }
 
+  /// The first and second moments of parameter tensor \p T, in the order
+  /// of Network::params(). No element is ever subnormal (adamUpdateKernel).
+  const std::vector<float> &firstMoments(size_t T) const { return M[T]; }
+  const std::vector<float> &secondMoments(size_t T) const { return V[T]; }
+
 private:
   Network *Net; ///< For parameter-generation bumps on step().
   std::vector<ParamView> Params;

@@ -150,7 +150,7 @@ void ThreadPool::parallelFor(size_t Begin, size_t End, size_t Grain,
   assert(Grain > 0 && "parallelFor grain must be positive");
   size_t N = End - Begin;
   // Fewer than two full chunks of work runs inline (see the header).
-  if (Workers.empty() || InParallelRegion || N / Grain < 2) {
+  if (Workers.empty() || InParallelRegion || runsInline(N, Grain)) {
     Body(Begin, End);
     return;
   }

@@ -161,6 +161,12 @@ public:
     return W >= MinChunkWork ? 1 : (MinChunkWork + W - 1) / W;
   }
 
+  /// Whether a range of \p Items iterations at grain \p Grain runs inline on
+  /// the caller: it holds fewer than two full chunks.
+  static constexpr bool runsInline(size_t Items, size_t Grain) {
+    return Items / Grain < 2;
+  }
+
   /// Runs \p Body over [Begin, End), partitioned into chunks of at most
   /// \p Grain iterations. Body receives half-open sub-ranges. Chunk
   /// boundaries are a pure function of the range and grain, so any

@@ -8,6 +8,7 @@
 
 #include "HeapCounter.h"
 #include "nn/Gemm.h"
+#include "nn/GemmSimdKernels.h"
 #include "nn/Layers.h"
 #include "nn/Loss.h"
 #include "nn/Network.h"
@@ -20,11 +21,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cfloat>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <numeric>
 #include <thread>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 using namespace au;
 using namespace au::nn;
@@ -237,6 +244,182 @@ TEST_F(NnKernelsTest, SgemmMatchesReferenceAllTransposeCombos) {
             TB ? K : N, Beta, C.data(), N);
       expectClose(C.values(), Ref.values(), "sgemm");
     }
+}
+
+namespace {
+
+/// One GEMM case for the direct-path tests: extents, transposes, scalars and
+/// row strides (each at least the stored row length).
+struct GemmCase {
+  int M, N, K;
+  bool TA, TB;
+  float Alpha, Beta;
+  int Lda, Ldb, Ldc;
+
+  int aRows() const { return TA ? K : M; }
+  int bRows() const { return TB ? N : K; }
+  /// Floats from an operand's first element through its last.
+  size_t aSpan() const {
+    return static_cast<size_t>(aRows() - 1) * Lda + (TA ? M : K);
+  }
+  size_t bSpan() const {
+    return static_cast<size_t>(bRows() - 1) * Ldb + (TB ? K : N);
+  }
+  size_t cSpan() const { return static_cast<size_t>(M - 1) * Ldc + N; }
+};
+
+GemmCase randomGemmCase(Rng &Rand) {
+  GemmCase G;
+  G.M = 1 + static_cast<int>(Rand.uniformInt(40));
+  G.N = 1 + static_cast<int>(Rand.uniformInt(40));
+  G.K = 1 + static_cast<int>(Rand.uniformInt(320));
+  G.TA = Rand.chance(0.5);
+  G.TB = Rand.chance(0.5);
+  const float Alphas[] = {1.0f, 0.75f, -1.5f};
+  const float Betas[] = {0.0f, 1.0f, -0.5f};
+  G.Alpha = Alphas[Rand.uniformInt(3)];
+  G.Beta = Betas[Rand.uniformInt(3)];
+  G.Lda = (G.TA ? G.M : G.K) + static_cast<int>(Rand.uniformInt(4));
+  G.Ldb = (G.TB ? G.K : G.N) + static_cast<int>(Rand.uniformInt(4));
+  G.Ldc = G.N + static_cast<int>(Rand.uniformInt(4));
+  return G;
+}
+
+/// C as the packed kernel computes it: both operands packed into panels,
+/// then microKernelRange over every row panel.
+void packedReference(const GemmCase &G, const float *A, const float *B,
+                     float *C) {
+  std::vector<float> AP(simd::aPanelsSize(G.M, G.K));
+  std::vector<float> BP(simd::bPanelsSize(G.K, G.N));
+  simd::packAPanels(A, G.Lda, G.TA, G.M, G.K, AP.data());
+  simd::packBPanels(B, G.Ldb, G.TB, G.K, G.N, BP.data());
+  simd::microKernelRange(0, simd::numAPanels(G.M), G.M, G.N, G.K, G.Alpha,
+                         AP.data(), BP.data(), G.Beta, nullptr, C, G.Ldc);
+}
+
+/// Fills C: NaN when Beta == 0 (the kernel must not read it), else random.
+void fillC(const GemmCase &G, float *C, size_t Len, Rng &Rand) {
+  for (size_t I = 0; I != Len; ++I)
+    C[I] = G.Beta == 0.0f ? std::numeric_limits<float>::quiet_NaN()
+                          : static_cast<float>(Rand.uniform(-2, 2));
+}
+
+/// \p N floats whose last element sits just before a PROT_NONE page, so a
+/// load past the end faults. Catches what ASan cannot see inside AVX
+/// intrinsics.
+class GuardedFloats {
+public:
+  explicit GuardedFloats(size_t N) {
+    size_t Page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+    size_t DataPages = (N * sizeof(float) + Page - 1) / Page;
+    Len = (DataPages + 1) * Page;
+    void *P = mmap(nullptr, Len, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (P == MAP_FAILED)
+      return;
+    Base = static_cast<char *>(P);
+    if (mprotect(Base + DataPages * Page, Page, PROT_NONE) != 0)
+      return;
+    Ptr = reinterpret_cast<float *>(Base + DataPages * Page) - N;
+  }
+  ~GuardedFloats() {
+    if (Base)
+      munmap(Base, Len);
+  }
+  GuardedFloats(const GuardedFloats &) = delete;
+  GuardedFloats &operator=(const GuardedFloats &) = delete;
+
+  float *data() const { return Ptr; }
+
+private:
+  char *Base = nullptr;
+  size_t Len = 0;
+  float *Ptr = nullptr;
+};
+
+} // namespace
+
+TEST_F(NnKernelsTest, SmallGemmDirectPathMatchesPackedKernelBitwise) {
+  if (!simdSupported())
+    GTEST_SKIP() << "no AVX2/FMA: the simd engine is not available";
+  setBackend(Backend::Simd);
+  Rng Rand(2024);
+  int Direct = 0, Packed = 0;
+  for (int Case = 0; Case < 1500; ++Case) {
+    GemmCase G = randomGemmCase(Rand);
+    (directGemm(G.M, G.N, G.K) ? Direct : Packed) += 1;
+    std::vector<float> A(G.aSpan()), B(G.bSpan());
+    for (float &V : A)
+      V = static_cast<float>(Rand.uniform(-1, 1));
+    for (float &V : B)
+      V = static_cast<float>(Rand.uniform(-1, 1));
+    std::vector<float> Ref(G.cSpan());
+    fillC(G, Ref.data(), Ref.size(), Rand);
+    std::vector<float> Got = Ref, GotPackedB = Ref;
+
+    packedReference(G, A.data(), B.data(), Ref.data());
+    sgemm(G.TA, G.TB, G.M, G.N, G.K, G.Alpha, A.data(), G.Lda, B.data(),
+          G.Ldb, G.Beta, Got.data(), G.Ldc);
+    PackedOperand PB;
+    ensurePackedB(PB, 1, G.TB, G.K, G.N, B.data(), G.Ldb);
+    sgemmPackedB(G.TA, PB, G.M, G.N, G.K, G.Alpha, A.data(), G.Lda, G.Beta,
+                 GotPackedB.data(), G.Ldc);
+
+    size_t Bytes = Ref.size() * sizeof(float);
+    ASSERT_EQ(std::memcmp(Got.data(), Ref.data(), Bytes), 0)
+        << "sgemm M=" << G.M << " N=" << G.N << " K=" << G.K
+        << " TA=" << G.TA << " TB=" << G.TB << " Beta=" << G.Beta;
+    ASSERT_EQ(std::memcmp(GotPackedB.data(), Ref.data(), Bytes), 0)
+        << "sgemmPackedB M=" << G.M << " N=" << G.N << " K=" << G.K
+        << " TA=" << G.TA << " TB=" << G.TB << " Beta=" << G.Beta;
+  }
+  // The shapes straddle the size rule: both paths were exercised.
+  EXPECT_GT(Direct, 200);
+  EXPECT_GT(Packed, 200);
+}
+
+TEST_F(NnKernelsTest, SmallGemmDirectPathReadsNothingPastItsOperands) {
+  if (!simdSupported())
+    GTEST_SKIP() << "no AVX2/FMA: the simd engine is not available";
+  setBackend(Backend::Simd);
+  Rng Rand(7);
+  // The DQN's shapes (batch 32 and a 1-row act over 5-32-32-2) plus odd
+  // extents with trailing columns in both lane groups.
+  const int Shapes[][3] = {{32, 32, 5},  {32, 2, 32}, {1, 2, 32}, {1, 32, 5},
+                           {32, 5, 32},  {7, 13, 9},  {3, 9, 17}, {6, 17, 3},
+                           {13, 23, 11}, {1, 1, 1},   {5, 7, 64}};
+  for (const auto &S : Shapes)
+    for (bool TA : {false, true})
+      for (float Beta : {0.0f, 1.0f}) {
+        const int M = S[0], N = S[1], K = S[2];
+        GemmCase G{M, N, K, TA, /*TB=*/false, 0.5f, Beta, TA ? M : K, N, N};
+        ASSERT_TRUE(directGemm(G.M, G.N, G.K));
+        GuardedFloats A(G.aSpan()), B(G.bSpan()), C(G.cSpan());
+        ASSERT_TRUE(A.data() && B.data() && C.data()) << "mmap failed";
+        for (size_t I = 0; I != G.aSpan(); ++I)
+          A.data()[I] = static_cast<float>(Rand.uniform(-1, 1));
+        for (size_t I = 0; I != G.bSpan(); ++I)
+          B.data()[I] = static_cast<float>(Rand.uniform(-1, 1));
+        std::vector<float> Ref(G.cSpan());
+        fillC(G, Ref.data(), Ref.size(), Rand);
+        std::vector<float> CInit = Ref;
+        packedReference(G, A.data(), B.data(), Ref.data());
+        size_t Bytes = Ref.size() * sizeof(float);
+
+        std::memcpy(C.data(), CInit.data(), Bytes);
+        sgemm(G.TA, G.TB, G.M, G.N, G.K, G.Alpha, A.data(), G.Lda, B.data(),
+              G.Ldb, G.Beta, C.data(), G.Ldc);
+        ASSERT_EQ(std::memcmp(C.data(), Ref.data(), Bytes), 0)
+            << "sgemm M=" << G.M << " N=" << G.N << " K=" << G.K;
+
+        PackedOperand PB;
+        ensurePackedB(PB, 1, G.TB, G.K, G.N, B.data(), G.Ldb);
+        std::memcpy(C.data(), CInit.data(), Bytes);
+        sgemmPackedB(G.TA, PB, G.M, G.N, G.K, G.Alpha, A.data(), G.Lda,
+                     G.Beta, C.data(), G.Ldc);
+        ASSERT_EQ(std::memcmp(C.data(), Ref.data(), Bytes), 0)
+            << "sgemmPackedB M=" << G.M << " N=" << G.N << " K=" << G.K;
+      }
 }
 
 //===----------------------------------------------------------------------===//
@@ -689,6 +872,107 @@ TEST_F(NnKernelsTest, PackedWeightsInvalidateAfterParamLoad) {
     expectClose(After.values(), Expect,
                 "prediction after param reload (stale packed weights?)");
     std::remove(Path.c_str());
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Adam: no subnormal state, unchanged steps in the normal range
+//===----------------------------------------------------------------------===//
+
+TEST_F(NnKernelsTest, AdamMomentsNeverGoSubnormal) {
+  for (Backend B : comparableBackends()) {
+    setBackend(B);
+    // From 1e-3 the first moment decays into the subnormal range after ~800
+    // zero-gradient steps; from 1e-20 the second moment starts there.
+    for (double Tiny : {1e-3, 1e-12, 1e-20, 1e-30}) {
+      Rng R(13);
+      Network Net = buildDnn(6, {8}, 3, R);
+      Adam Opt(Net, 1e-3);
+      std::vector<ParamView> Params = Net.params();
+      for (const ParamView &P : Params)
+        for (size_t I = 0; I != P.Count; ++I)
+          P.Grads[I] = static_cast<float>((I % 2 ? -Tiny : Tiny) *
+                                          static_cast<double>(1 + I % 5));
+      for (int Step = 0; Step < 3000; ++Step) {
+        Opt.step(1.0); // Clears the gradients: every later step sees zero.
+        for (size_t T = 0; T != Params.size(); ++T) {
+          const std::vector<float> &M = Opt.firstMoments(T);
+          const std::vector<float> &V = Opt.secondMoments(T);
+          for (size_t I = 0; I != Params[T].Count; ++I) {
+            ASSERT_NE(std::fpclassify(M[I]), FP_SUBNORMAL)
+                << backendName(B) << " grad " << Tiny << " step " << Step;
+            ASSERT_NE(std::fpclassify(V[I]), FP_SUBNORMAL)
+                << backendName(B) << " grad " << Tiny << " step " << Step;
+            ASSERT_TRUE(std::isfinite(Params[T].Values[I]));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(NnKernelsTest, AdamStepInNormalRangeMatchesReferenceFormula) {
+  const double Lr = 1e-3, B1 = 0.9, B2 = 0.999, Eps = 1e-8, Scale = 0.25;
+  for (Backend B : comparableBackends()) {
+    setBackend(B);
+    Rng R(19);
+    // Every tensor size is a multiple of 8, so the simd engine runs only its
+    // vector body, whose rounding the reference below spells out; the scalar
+    // tail's rounding depends on the compiler's FMA contraction.
+    Network Net = buildDnn(8, {16}, 8, R);
+    Adam Opt(Net, Lr, B1, B2, Eps);
+    std::vector<ParamView> Params = Net.params();
+    std::vector<std::vector<float>> W, M, V;
+    for (const ParamView &P : Params) {
+      W.emplace_back(P.Values, P.Values + P.Count);
+      M.emplace_back(P.Count, 0.0f);
+      V.emplace_back(P.Count, 0.0f);
+    }
+    Rng GradRand(23);
+    for (int Step = 1; Step <= 20; ++Step) {
+      double Bias1 = 1.0 - std::pow(B1, Step);
+      double Bias2 = 1.0 - std::pow(B2, Step);
+      for (size_t T = 0; T != Params.size(); ++T)
+        for (size_t I = 0; I != Params[T].Count; ++I) {
+          float G = static_cast<float>(GradRand.uniform(-1, 1));
+          Params[T].Grads[I] = G;
+          float &Wr = W[T][I], &Mr = M[T][I], &Vr = V[T][I];
+          if (B == Backend::Simd) {
+            // adamUpdateAvx's vector body, lane by lane.
+            float Gv = G * static_cast<float>(Scale);
+            float B1f = static_cast<float>(B1), B2f = static_cast<float>(B2);
+            Mr = std::fma(B1f, Mr, (1.0f - B1f) * Gv);
+            Vr = std::fma(B2f, Vr, (1.0f - B2f) * (Gv * Gv));
+            float MHat = Mr * static_cast<float>(1.0 / Bias1);
+            float VHat = Vr * static_cast<float>(1.0 / Bias2);
+            float Denom = std::sqrt(VHat) + static_cast<float>(Eps);
+            Wr = Wr - static_cast<float>(Lr) * MHat / Denom;
+          } else {
+            // The double-precision update the blocked engine has always run.
+            double Gd = G * Scale;
+            Mr = static_cast<float>(B1 * Mr + (1.0 - B1) * Gd);
+            Vr = static_cast<float>(B2 * Vr + (1.0 - B2) * Gd * Gd);
+            double MHat = Mr / Bias1, VHat = Vr / Bias2;
+            Wr -= static_cast<float>(Lr * MHat / (std::sqrt(VHat) + Eps));
+          }
+          ASSERT_GE(std::fabs(Mr), FLT_MIN) << "reference left the range";
+          ASSERT_GE(std::fabs(Vr), FLT_MIN) << "reference left the range";
+        }
+      Opt.step(Scale);
+      for (size_t T = 0; T != Params.size(); ++T) {
+        size_t Bytes = Params[T].Count * sizeof(float);
+        ASSERT_EQ(std::memcmp(Params[T].Values, W[T].data(), Bytes), 0)
+            << backendName(B) << " weights, tensor " << T << " step " << Step;
+        ASSERT_EQ(std::memcmp(Opt.firstMoments(T).data(), M[T].data(), Bytes),
+                  0)
+            << backendName(B) << " first moment, step " << Step;
+        ASSERT_EQ(
+            std::memcmp(Opt.secondMoments(T).data(), V[T].data(), Bytes), 0)
+            << backendName(B) << " second moment, step " << Step;
+        for (size_t I = 0; I != Params[T].Count; ++I)
+          ASSERT_EQ(Params[T].Grads[I], 0.0f) << "gradient not cleared";
+      }
+    }
   }
 }
 
