@@ -26,6 +26,7 @@
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -38,17 +39,32 @@ namespace {
 
 volatile float Sink; // Defeats dead-code elimination.
 
-/// Times Fn (already warmed) and returns ns per iteration.
+/// Times Fn and returns ns per iteration: the median over up to Reps short
+/// timing loops that share the MinSeconds budget, so a stall or a host
+/// speed-mode switch inside the window moves one loop rather than the whole
+/// row (a mode that outlasts the window still moves it). A case whose
+/// single iteration outlasts a loop's share still runs MinIters loops.
 double timeNs(const std::function<void()> &Fn, int MinIters = 3,
               double MinSeconds = 0.25) {
+  constexpr int Reps = 7;
+  const double Slice = MinSeconds / Reps;
   Fn(); // Warm-up: allocate workspaces, fault in pages.
-  int Iters = 0;
-  Timer T;
-  do {
-    Fn();
-    ++Iters;
-  } while (Iters < MinIters || T.seconds() < MinSeconds);
-  return T.seconds() * 1e9 / Iters;
+  std::vector<double> Ns;
+  Timer Budget;
+  while (static_cast<int>(Ns.size()) < Reps &&
+         (static_cast<int>(Ns.size()) < MinIters ||
+          Budget.seconds() < MinSeconds)) {
+    int Iters = 0;
+    Timer T;
+    do {
+      Fn();
+      ++Iters;
+    } while (T.seconds() < Slice);
+    Ns.push_back(T.seconds() * 1e9 / Iters);
+  }
+  std::sort(Ns.begin(), Ns.end());
+  size_t Mid = Ns.size() / 2;
+  return Ns.size() % 2 ? Ns[Mid] : 0.5 * (Ns[Mid - 1] + Ns[Mid]);
 }
 
 void printCase(const std::string &Bench, const std::string &BackendName,

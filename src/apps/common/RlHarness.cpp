@@ -48,8 +48,9 @@ namespace {
 /// Interned handles for one drive loop (DESIGN.md §7): names are resolved
 /// to NameIds once here, so the per-step extract/serialize/nn/write_back
 /// path neither hashes nor copies a string. Handles come from the engine's
-/// master name table, so one handle set is valid in every Session of the
-/// engine — the lane sessions of the parallel paths included. Feature
+/// name table, which every Session of the engine indexes, so one handle set
+/// is valid in all of them — the lane sessions of the parallel paths
+/// included. Feature
 /// positions within Env.features() are resolved once too, replacing the
 /// per-step linear name search.
 struct RlHandles {
@@ -61,8 +62,9 @@ struct RlHandles {
 };
 
 /// K per-actor Sessions over one Engine (the DESIGN.md §10 shape of the §8
-/// actor fleet). Sessions are created mirroring the full master name table,
-/// so handles interned beforehand index every lane store. On destruction
+/// actor fleet). Every lane store indexes the engine's name table, so
+/// handles interned before or after the pool opens are valid in each
+/// lane, and opening a lane copies no names. On destruction
 /// nothing folds automatically — callers fold the lanes' primitive counters
 /// into the session whose stats they report (foldInto).
 struct SessionPool {
@@ -275,8 +277,6 @@ RlTrainResult au::apps::trainRlParallel(const GameEnvFactory &Factory,
   static_cast<RlModel *>(M)->configureActors(K);
   RlHandles H = makeHandles(*Envs[0], Main, Opt);
 
-  // The lane sessions come after every name is interned, so each lane store
-  // mirrors the full master table from birth.
   SessionPool Pool(Eng, Main.mode(), K);
 
   // Actor k opens the fleet on episode jitter k; later episodes draw fresh

@@ -61,7 +61,7 @@ void CheckpointManager::restore(DatabaseStore &Db) {
     else
       Db.reset(Id);
   }
-  // Slots interned after the snapshot roll back to bottom.
+  // Slots first written after the snapshot roll back to bottom.
   for (NameId Id = static_cast<NameId>(DbSnap.size()),
               E = static_cast<NameId>(Db.numSlots());
        Id < E; ++Id)

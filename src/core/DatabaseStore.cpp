@@ -6,25 +6,24 @@
 
 using namespace au;
 
-static const std::vector<float> EmptyList;
+const DatabaseStore::Slot DatabaseStore::Bottom{};
 
-DatabaseStore::InternAuthority::~InternAuthority() = default;
+DatabaseStore::DatabaseStore() : Names(std::make_shared<NameTable>()) {}
 
-//===----------------------------------------------------------------------===//
-// Interning
-//===----------------------------------------------------------------------===//
-
-NameId DatabaseStore::intern(std::string_view Name) {
-  NameId Id = Names.intern(Name);
-  if (Id >= Slots.size())
-    Slots.resize(Names.size());
-  return Id;
+DatabaseStore::DatabaseStore(std::shared_ptr<NameTable> T)
+    : Names(std::move(T)) {
+  assert(Names && "store without a name table");
 }
 
 //===----------------------------------------------------------------------===//
 // Handle-keyed primitives (append/get/reset/serialize are inline in the
 // header)
 //===----------------------------------------------------------------------===//
+
+void DatabaseStore::grow(NameId Id) {
+  assert(Id < Names->size() && "NameId from a different name table");
+  Slots.resize(static_cast<size_t>(Id) + 1);
+}
 
 void DatabaseStore::set(NameId Id, const float *Values, size_t N) {
   Slot &S = slot(Id);
@@ -46,14 +45,8 @@ NameId DatabaseStore::combinedIdFor(const std::vector<NameId> &Ids) {
   } else {
     std::string Name;
     for (NameId Id : Ids)
-      Name += Names.name(Id);
-    // With an authority installed (Session-owned stores), the combined
-    // name interns through the engine's master table — resolveName replays
-    // it into this store before returning, so the id indexes Slots here
-    // exactly as a local intern would.
-    Combined = Authority ? Authority->resolveName(Name) : intern(Name);
-    assert(Combined < Slots.size() &&
-           "intern authority returned an id unknown to this store");
+      Name += Names->name(Id);
+    Combined = intern(Name);
     CombinedIds.emplace(Ids, Combined);
   }
   LastSerializeIds = Ids;
@@ -74,9 +67,11 @@ void DatabaseStore::append(const std::string &Name, float Value) {
   append(intern(Name), &Value, 1);
 }
 
+// A name never interned finds InvalidNameId, which lies past every slot
+// vector and so reads (and resets) as bottom.
+
 const std::vector<float> &DatabaseStore::get(const std::string &Name) const {
-  NameId Id = Names.find(Name);
-  return Id == InvalidNameId ? EmptyList : get(Id);
+  return get(Names->find(Name));
 }
 
 void DatabaseStore::set(const std::string &Name, std::vector<float> Values) {
@@ -84,14 +79,11 @@ void DatabaseStore::set(const std::string &Name, std::vector<float> Values) {
 }
 
 void DatabaseStore::reset(const std::string &Name) {
-  NameId Id = Names.find(Name);
-  if (Id != InvalidNameId && Id < Slots.size())
-    reset(Id);
+  reset(Names->find(Name));
 }
 
 bool DatabaseStore::contains(const std::string &Name) const {
-  NameId Id = Names.find(Name);
-  return Id != InvalidNameId && Id < Slots.size() && contains(Id);
+  return contains(Names->find(Name));
 }
 
 std::string DatabaseStore::serialize(const std::vector<std::string> &Names_) {

@@ -12,10 +12,16 @@
 /// transfer is explicit through the primitives.
 ///
 /// Hot-path layout (DESIGN.md §7): names are interned once into dense
-/// NameIds by an embedded NameTable, and the store is a flat vector of
-/// slots indexed by NameId. Every slot is a plain list plus a mapped flag.
-/// It keeps its float buffer across reset(), so steady-state
-/// extract/append does zero allocations.
+/// NameIds by a NameTable, and the store is a flat vector of slots indexed
+/// by NameId. Every slot is a plain list plus a mapped flag. It keeps its
+/// float buffer across reset(), so steady-state extract/append does zero
+/// allocations.
+///
+/// The table is shared, not owned: a Session's store indexes its Engine's
+/// one table (DESIGN.md §10), so an id interned anywhere on the engine
+/// names the same slot here. A default-constructed store makes its own
+/// table, and a copy shares its source's. Slots grow on the first write to
+/// an id past their end; a read of such an id is bottom.
 ///
 /// serialize() copies, as Rule SERIALIZE reads: the sources are
 /// concatenated into a retained scratch list that is then swapped into the
@@ -31,6 +37,7 @@
 #include "core/NameTable.h"
 
 #include <cassert>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -38,40 +45,25 @@
 namespace au {
 
 /// pi ::= Name -> list of Value. Copyable so tests and the executable
-/// semantics can snapshot it wholesale.
+/// semantics can snapshot it wholesale; the copy shares the name table.
 class DatabaseStore {
 public:
-  /// Delegates interning of names the store creates *itself* (today only
-  /// the combined names of serialize()) to an external owner. A Session
-  /// installs itself here so combined names intern through the engine's
-  /// master table and the store stays a positional mirror of it
-  /// (DESIGN.md §10); a standalone store interns locally as before. The
-  /// authority must return an id that is valid in this store by the time
-  /// it returns (the session's name replay guarantees that).
-  class InternAuthority {
-  public:
-    virtual ~InternAuthority();
-    virtual NameId resolveName(std::string_view Name) = 0;
-  };
+  /// A store over a table of its own.
+  DatabaseStore();
+  /// A store over \p Names, shared with whoever else holds it.
+  explicit DatabaseStore(std::shared_ptr<NameTable> Names);
 
   //===--------------------------------------------------------------------===//
   // Name interning
   //===--------------------------------------------------------------------===//
 
-  /// Interns \p Name (idempotent) and returns its dense handle. The handle
-  /// APIs below are the hot path; intern once, outside the loop. Note:
-  /// interning directly into a Session-owned store bypasses the engine's
-  /// master table and the session will detect the divergence — go through
-  /// Session::intern instead.
-  NameId intern(std::string_view Name);
-
-  /// Installs (or clears, with null) the interning authority.
-  void setInternAuthority(InternAuthority *A) { Authority = A; }
-
-  const NameTable &names() const { return Names; }
+  /// Interns \p Name into the store's table (idempotent) and returns its
+  /// dense handle. The handle APIs below are the hot path; intern once,
+  /// outside the loop.
+  NameId intern(std::string_view Name) { return Names->intern(Name); }
 
   /// The string a handle was interned from.
-  const std::string &nameOf(NameId Id) const { return Names.name(Id); }
+  const std::string &nameOf(NameId Id) const { return Names->name(Id); }
 
   //===--------------------------------------------------------------------===//
   // Handle-keyed primitives (hot path)
@@ -145,7 +137,8 @@ public:
   /// above). Used by tests; not a primitive.
   void clear();
 
-  /// Number of slots (== names().size(); includes bottom slots).
+  /// Number of slots: one past the highest id ever written (includes
+  /// bottom slots).
   size_t numSlots() const { return Slots.size(); }
 
 private:
@@ -156,11 +149,18 @@ private:
     bool Mapped = false;
   };
 
+  /// The slot under \p Id, growing the slot vector on the first write
+  /// past its end; the const form returns Bottom there instead.
   Slot &slot(NameId Id);
   const Slot &slot(NameId Id) const;
+  /// Cold half of slot(): resizes the slot vector to hold \p Id.
+  void grow(NameId Id);
+
+  /// What a read of a never-written id sees.
+  static const Slot Bottom;
 
   /// Cold half of serialize(): combined-name interning on an id-vector
-  /// cache miss (routed through the InternAuthority when one is set).
+  /// cache miss.
   NameId combinedIdFor(const std::vector<NameId> &Ids);
 
   /// Interns a range of string-ish names; shared by the string-keyed
@@ -184,9 +184,8 @@ private:
     }
   };
 
-  NameTable Names;
+  std::shared_ptr<NameTable> Names;
   std::vector<Slot> Slots;
-  InternAuthority *Authority = nullptr;
   std::unordered_map<std::vector<NameId>, NameId, IdVecHash> CombinedIds;
   /// One-entry MRU over CombinedIds: the annotated loop serializes the same
   /// id-vector every iteration, so a short equality check beats re-hashing.
@@ -206,13 +205,13 @@ private:
 //===----------------------------------------------------------------------===//
 
 inline DatabaseStore::Slot &DatabaseStore::slot(NameId Id) {
-  assert(Id < Slots.size() && "NameId from a different store");
+  if (Id >= Slots.size()) [[unlikely]]
+    grow(Id);
   return Slots[Id];
 }
 
 inline const DatabaseStore::Slot &DatabaseStore::slot(NameId Id) const {
-  assert(Id < Slots.size() && "NameId from a different store");
-  return Slots[Id];
+  return Id < Slots.size() ? Slots[Id] : Bottom;
 }
 
 inline void DatabaseStore::append(NameId Id, const float *Values, size_t N) {
@@ -230,7 +229,9 @@ inline void DatabaseStore::append(NameId Id, float Value) {
 }
 
 inline void DatabaseStore::reset(NameId Id) {
-  Slot &S = slot(Id);
+  if (Id >= Slots.size())
+    return; // Never written: already bottom.
+  Slot &S = Slots[Id];
   S.Data.clear();
   S.Mapped = false;
 }
@@ -251,7 +252,7 @@ inline NameId DatabaseStore::serialize(const std::vector<NameId> &Ids,
   // sources contributes its old list.
   SerializeScratch.clear();
   for (NameId Id : Ids) {
-    const std::vector<float> &L = slot(Id).Data;
+    const std::vector<float> &L = get(Id);
     SerializeScratch.insert(SerializeScratch.end(), L.begin(), L.end());
   }
   if (Consume)

@@ -14,43 +14,6 @@ Engine::Engine(std::string Dir) : ModelDir(std::move(Dir)) {}
 Engine::~Engine() = default;
 
 //===----------------------------------------------------------------------===//
-// Master name table
-//===----------------------------------------------------------------------===//
-
-NameId Engine::intern(std::string_view Name) {
-  std::lock_guard<std::mutex> L(NamesM);
-  return MasterNames.intern(Name);
-}
-
-size_t Engine::numNames() const {
-  std::lock_guard<std::mutex> L(NamesM);
-  return MasterNames.size();
-}
-
-const std::string &Engine::nameOf(NameId Id) const {
-  // The deque-backed table never moves its strings, so the reference stays
-  // valid after the lock drops.
-  std::lock_guard<std::mutex> L(NamesM);
-  return MasterNames.name(Id);
-}
-
-size_t Engine::appendNamesTo(DatabaseStore &Db, size_t From) const {
-  std::lock_guard<std::mutex> L(NamesM);
-  size_t N = MasterNames.size();
-  for (size_t I = From; I != N; ++I) {
-    NameId Id = Db.intern(MasterNames.name(static_cast<NameId>(I)));
-    // Belt and braces under the size check the session already did: a
-    // replayed name must land at its master position.
-    if (Id != static_cast<NameId>(I))
-      throw StoreDivergenceError(
-          "session store diverged from the engine name table: replayed "
-          "name '" + MasterNames.name(static_cast<NameId>(I)) +
-          "' did not land at its master position");
-  }
-  return N;
-}
-
-//===----------------------------------------------------------------------===//
 // Model store theta
 //===----------------------------------------------------------------------===//
 
@@ -76,7 +39,8 @@ Model *Engine::config(const ModelConfig &C, Mode M) {
 
   // Register the handle route: model names live in the same table as
   // database names, so entryById / Session::nn(NameId, ...) index theta
-  // directly. ModelsM -> NamesM is the documented lock order.
+  // directly. ModelsM -> the name table's mutex is the documented lock
+  // order.
   NameId Id = intern(C.Name);
   if (Id >= EntryById.size())
     EntryById.resize(Id + 1, nullptr);

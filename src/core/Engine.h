@@ -6,23 +6,24 @@
 ///
 /// \file
 /// The process-wide half of the Engine/Session split (DESIGN.md §10): the
-/// shared model store theta keyed by NameId, the master name table every
-/// session's store mirrors, model persistence, and the cross-session
+/// shared model store theta keyed by NameId, the one name table every
+/// session's store indexes, model persistence, and the cross-session
 /// inference batchers. One Engine serves many concurrent Sessions — the
 /// ROADMAP's multi-tenant serving plane.
 ///
 /// Concurrency contract:
-///  - intern()/nameOf()/numNames() and config()/getModel() are safe from
-///    any thread (mutex-guarded; the name table's deque storage keeps
-///    returned string references stable forever).
+///  - intern()/nameOf() and config()/getModel() are safe from any thread
+///    (mutex-guarded; the name table's deque storage keeps returned string
+///    references stable forever). Sessions intern into the same table, so
+///    concurrent interning from many sessions is safe too.
 ///  - Training mutates the *live* model and must stay on one thread per
 ///    model (the semantics' single TR execution). publishModel() snapshots
 ///    the live parameters into an immutable ParamSnapshot and installs it
 ///    with a release-store of the version counter; any number of TS-mode
 ///    readers then refresh InferenceReplicas from the snapshot with an
 ///    acquire-load and serve inference without ever touching the live
-///    model. Lock order: BatchM -> ModelsM -> NamesM (and entry SnapM
-///    innermost); no path takes them in any other order.
+///    model. Lock order: BatchM -> ModelsM -> the name table's mutex (and
+///    entry SnapM innermost); no path takes them in any other order.
 ///  - nnBatchSessions()/nnRlSessions() fuse K sessions' au_NN calls into
 ///    one forwardBatch under BatchM; the per-session gathers and scatters
 ///    touch disjoint stores and parallelize on the global ThreadPool.
@@ -92,8 +93,8 @@ private:
   std::unique_ptr<nn::SupervisedTrainer> Trainer;
 };
 
-/// The process-wide model plane. Owns theta and the master name table;
-/// Sessions bind to it and mirror its names.
+/// The process-wide model plane. Owns theta and the name table; Sessions
+/// bind to it and index its names.
 class Engine {
 public:
   /// \p ModelDir is where TS-mode au_config looks for saved models and
@@ -105,18 +106,15 @@ public:
   Engine &operator=(const Engine &) = delete;
 
   //===--------------------------------------------------------------------===//
-  // Master name table
+  // Name table
   //===--------------------------------------------------------------------===//
 
-  /// Interns \p Name into the master table (idempotent, thread-safe) and
-  /// returns the engine-wide handle. Sessions replay new names into their
-  /// stores, so the handle indexes every session store of this engine.
-  NameId intern(std::string_view Name);
-
-  size_t numNames() const;
+  /// Interns \p Name (idempotent, thread-safe) and returns the engine-wide
+  /// handle; it indexes every session store of this engine.
+  NameId intern(std::string_view Name) { return Names->intern(Name); }
 
   /// The string a handle was interned from (reference stable forever).
-  const std::string &nameOf(NameId Id) const;
+  const std::string &nameOf(NameId Id) const { return Names->name(Id); }
 
   //===--------------------------------------------------------------------===//
   // Model store theta
@@ -190,11 +188,6 @@ private:
   friend class Session;
   friend class InferenceReplica;
 
-  /// Replays master-table names [From, size) into \p Db in order; returns
-  /// the new high-water mark. Throws StoreDivergenceError when the replay
-  /// cannot keep positions aligned (someone interned into \p Db directly).
-  size_t appendNamesTo(DatabaseStore &Db, size_t From) const;
-
   EngineModelEntry *entryById(NameId Id);
   EngineModelEntry *entryByName(const std::string &Name);
   uint64_t publish(EngineModelEntry *E);
@@ -206,8 +199,8 @@ private:
 
   std::string ModelDir;
 
-  mutable std::mutex NamesM;
-  NameTable MasterNames;
+  /// Shared with every session's store.
+  std::shared_ptr<NameTable> Names = std::make_shared<NameTable>();
 
   mutable std::mutex ModelsM;
   std::map<std::string, std::unique_ptr<EngineModelEntry>> Models; // theta

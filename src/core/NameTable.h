@@ -14,6 +14,12 @@
 /// vectors indexed by NameId, and the string APIs remain thin forwarding
 /// shims that intern on entry.
 ///
+/// All executions share one namespace of names (the one theta is keyed
+/// by), so an Engine owns exactly one table and every Session's store
+/// indexes it (DESIGN.md §10). The table therefore takes its own mutex:
+/// every member is safe from any thread. Handle-keyed primitives never
+/// touch it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef AU_CORE_NAMETABLE_H
@@ -22,10 +28,10 @@
 #include <cassert>
 #include <cstdint>
 #include <deque>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 namespace au {
 
@@ -38,11 +44,13 @@ inline constexpr NameId InvalidNameId = 0xffffffffu;
 
 /// Bidirectional string <-> NameId interner. Interning is append-only:
 /// names are never removed, so a NameId stays valid (and its string
-/// reference stable) forever.
+/// reference stable) forever. Thread-safe; the mutex is innermost in the
+/// Engine's lock order.
 class NameTable {
 public:
   /// Returns the id of \p Name, interning it first if needed.
   NameId intern(std::string_view Name) {
+    std::lock_guard<std::mutex> L(M);
     auto It = Ids.find(Name);
     if (It != Ids.end())
       return It->second;
@@ -54,18 +62,24 @@ public:
 
   /// The id of \p Name, or InvalidNameId when it was never interned.
   NameId find(std::string_view Name) const {
+    std::lock_guard<std::mutex> L(M);
     auto It = Ids.find(Name);
     return It == Ids.end() ? InvalidNameId : It->second;
   }
 
-  /// The string a NameId was interned from.
+  /// The string a NameId was interned from. The reference stays valid
+  /// after the lock drops: the deque never moves its strings.
   const std::string &name(NameId Id) const {
+    std::lock_guard<std::mutex> L(M);
     assert(Id < Names.size() && "NameId out of range");
     return Names[Id];
   }
 
   /// Number of interned names (== the smallest unused NameId).
-  size_t size() const { return Names.size(); }
+  size_t size() const {
+    std::lock_guard<std::mutex> L(M);
+    return Names.size();
+  }
 
 private:
   /// Transparent hashing so find/intern of a string_view never allocates.
@@ -82,6 +96,7 @@ private:
     }
   };
 
+  mutable std::mutex M;
   /// Deque, not vector: name() hands out references that the contract
   /// keeps stable across later interning, so growth must never move the
   /// strings.

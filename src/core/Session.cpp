@@ -9,35 +9,9 @@
 
 using namespace au;
 
-Session::Session(Engine &E, Mode M) : Eng(E), ExecMode(M) {
-  // Combined serialize names created inside the store must intern through
-  // the engine too, so the store stays a positional mirror of the master
-  // table.
-  Db.setInternAuthority(this);
-  syncNames();
-}
+Session::Session(Engine &E, Mode M) : Eng(E), ExecMode(M), Db(E.Names) {}
 
 Session::~Session() = default;
-
-NameId Session::intern(std::string_view Name) {
-  NameId Id = Eng.intern(Name);
-  syncNames();
-  return Id;
-}
-
-void Session::syncNames() {
-  // Every name in this store was replayed from the master table, in order,
-  // by a previous sync. If the store grew past the replay watermark, someone
-  // interned into db() directly — positions can no longer be trusted, and
-  // handles handed out by the engine would address the wrong slots. This is
-  // a real error path, not an assert: it fires in release builds too.
-  if (Db.names().size() != Synced)
-    throw StoreDivergenceError(
-        "session store diverged from the engine name table: a name was "
-        "interned directly into the store behind the session's back (use "
-        "Session::intern, not db().intern)");
-  Synced = Eng.appendNamesTo(Db, Synced);
-}
 
 Model *Session::config(const ModelConfig &C) {
   ++Stats.NumConfig;

@@ -47,14 +47,10 @@
 /// au_config loads saved models and au_write_back overwrites the target
 /// variables with predictions.
 ///
-/// A session's name table mirrors the Engine's master table: intern() asks
-/// the Engine for the id and then replays any names this store has not seen
-/// yet, so a NameId is valid in every session of the engine and in the
-/// engine itself. Combined serialize names take the same route through the
-/// DatabaseStore::InternAuthority hook. If a caller bypasses the session
-/// and interns directly into db(), the mirror can no longer hold — the next
-/// intern() detects it and throws StoreDivergenceError (a real error path,
-/// not an assert; it fires in release builds too).
+/// A session's store indexes the Engine's one name table: intern() is one
+/// call into that table, so a NameId interned by the engine or by any
+/// sibling session addresses the same name here, and the first write to it
+/// grows this store's slots.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,7 +65,6 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -102,23 +97,13 @@ struct WriteBackHandle {
   int Size = 1;
 };
 
-/// Thrown when a session (or actor) store's name table stops mirroring the
-/// engine's master table — someone interned into the store behind the
-/// session's back, so handles would resolve to the wrong slots.
-class StoreDivergenceError : public std::runtime_error {
-public:
-  explicit StoreDivergenceError(const std::string &What)
-      : std::runtime_error(What) {}
-};
-
 /// Per-client execution state <sigma, pi> bound to a shared Engine.
-class Session : public DatabaseStore::InternAuthority {
+class Session {
 public:
-  /// Binds a new, empty session to \p Eng. The session starts with a full
-  /// mirror of the engine's name table, so any handle interned earlier
-  /// (by the engine or a sibling session) already indexes this store.
+  /// Binds a new, empty session to \p Eng; its store indexes the engine's
+  /// name table.
   Session(Engine &Eng, Mode M);
-  ~Session() override;
+  ~Session();
 
   Session(const Session &) = delete;
   Session &operator=(const Session &) = delete;
@@ -132,12 +117,10 @@ public:
   /// per execution; this is a harness convenience.
   void switchMode(Mode M) { ExecMode = M; }
 
-  /// Interns \p Name through the engine's master table (idempotent) and
-  /// mirrors it locally; returns the dense handle accepted by every
-  /// primitive overload below. The same id is valid in every session of
-  /// this engine. Throws StoreDivergenceError when the local store no
-  /// longer mirrors the master table (see the file comment).
-  NameId intern(std::string_view Name);
+  /// Interns \p Name into the engine's name table (idempotent, thread-safe)
+  /// and returns the dense handle accepted by every primitive overload
+  /// below. The same id is valid in every session of this engine.
+  NameId intern(std::string_view Name) { return Db.intern(Name); }
 
   //===--------------------------------------------------------------------===//
   // Primitives
@@ -187,8 +170,8 @@ public:
 
   /// au_serialize over handles: copies the concatenation into the combined
   /// entry and returns the combined handle, cached per id-vector after the
-  /// first call. Combined names intern through the engine
-  /// (InternAuthority), so the handle is engine-wide.
+  /// first call. Combined names intern into the engine's table, so the
+  /// handle is engine-wide.
   NameId serialize(const std::vector<NameId> &Ids) {
     ++Stats.NumSerialize;
     // The constituent lists are consumed: they have been moved into the
@@ -308,14 +291,6 @@ private:
     std::vector<std::pair<NameId, std::vector<float>>> Labels;
   };
 
-  /// DatabaseStore::InternAuthority: combined serialize names intern here,
-  /// so they land in the engine's master table like every other name.
-  NameId resolveName(std::string_view Name) override { return intern(Name); }
-
-  /// Replays engine names this store has not mirrored yet; throws
-  /// StoreDivergenceError when the replay cannot keep ids aligned.
-  void syncNames();
-
   void completePendingIfReady(PendingSample &P);
   void setWbOwner(NameId Out, NameId ModelId);
   NameId wbOwner(NameId Out) const {
@@ -330,10 +305,6 @@ private:
 
   Engine &Eng;
   Mode ExecMode;
-  /// How many of the engine's master-table names this store has mirrored;
-  /// Db.names().size() must equal this at every sync point or the store
-  /// has diverged (StoreDivergenceError).
-  size_t Synced = 0;
   DatabaseStore Db;
   CheckpointManager Ckpt;
   std::vector<Model *> ModelCache; ///< NameId -> model (engine-backed).

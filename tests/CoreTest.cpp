@@ -761,126 +761,157 @@ void expectStoreMatches(const DatabaseStore &Db, const RefPi &Ref,
   ASSERT_EQ(Db.numEntries(), Ref.size()) << "seed " << Seed << " step " << Step;
   ASSERT_EQ(Db.totalValues(), Values) << "seed " << Seed << " step " << Step;
 }
+
+/// One seeded random sequence of append/set/reset, serialize (consume on
+/// and off, duplicate sources, a combined name among its own sources via
+/// the empty name, nested serialize of combined names), checkpoint,
+/// repeated restore, and names interned after a snapshot, run through
+/// DatabaseStore + CheckpointManager and through RefPi; every list must
+/// agree after every step. A small POD region rides along in the
+/// snapshots. With \p SharedTable the store shares its name table with a
+/// sibling store.
+void runReferencePiSequence(uint64_t Seed, bool SharedTable) {
+  Rng R(Seed);
+  // With a shared table, a sibling store interns (and writes) names of its
+  // own between the steps, drawing from its own generator so the store's
+  // primitive sequence is the same as without it.
+  auto Table = std::make_shared<NameTable>();
+  DatabaseStore Db = SharedTable ? DatabaseStore(Table) : DatabaseStore();
+  DatabaseStore Sibling(Table);
+  Rng SibR(Seed + 1000);
+  int SibFresh = 0;
+  CheckpointManager M;
+  RefPi Ref, RefSnap;
+  float Region[4] = {0, 0, 0, 0};
+  float RegionSnap[4] = {0, 0, 0, 0};
+  M.registerRegion(Region, sizeof(Region));
+  bool HaveSnap = false;
+  int Fresh = 0;
+
+  // Sources and targets are drawn from the names seen so far; combined
+  // names join the pool while short, so later serializes nest them.
+  std::vector<std::string> Pool = {"a", "b", "c", ""};
+  auto Pick = [&]() -> const std::string & {
+    return Pool[R.uniformInt(Pool.size())];
+  };
+  auto RandomList = [&] {
+    std::vector<float> V(R.uniformInt(4));
+    for (float &X : V)
+      X = static_cast<float>(R.uniformInt(-50, 50));
+    return V;
+  };
+
+  for (int Step = 0; Step < 300; ++Step) {
+    if (SharedTable) {
+      // Sparse ids: the store's slots grow past the sibling's names on
+      // first write. Writes into the sibling must never show here.
+      if (SibR.chance(0.3))
+        Sibling.append(Sibling.intern("s" + std::to_string(SibFresh++)),
+                       -1.0f);
+      if (SibR.chance(0.2))
+        Sibling.append(Sibling.intern(Pool[SibR.uniformInt(Pool.size())]),
+                       -2.0f);
+      // The sibling interns the next fresh name first; whether that lands
+      // before or after a checkpoint, restore rolls it back to bottom.
+      if (SibR.chance(0.1))
+        Sibling.intern("n" + std::to_string(Fresh));
+    }
+    switch (R.uniformInt(9)) {
+    case 0:
+    case 1: { // au_extract: append a list (possibly empty) or one value.
+      const std::string &N = Pick();
+      if (R.chance(0.5)) {
+        std::vector<float> V = RandomList();
+        Db.append(Db.intern(N), V.data(), V.size());
+        Ref[N].insert(Ref[N].end(), V.begin(), V.end());
+      } else {
+        float X = static_cast<float>(R.uniformInt(-50, 50));
+        Db.append(Db.intern(N), X);
+        Ref[N].push_back(X);
+      }
+      break;
+    }
+    case 2: { // Model outputs: set replaces the list.
+      const std::string &N = Pick();
+      std::vector<float> V = RandomList();
+      Db.set(Db.intern(N), V.data(), V.size());
+      Ref[N] = V;
+      break;
+    }
+    case 3: { // reset maps the name back to bottom.
+      const std::string &N = Pick();
+      Db.reset(Db.intern(N));
+      Ref.erase(N);
+      break;
+    }
+    case 4:
+    case 5: { // serialize 2-4 sources, duplicates allowed.
+      std::vector<std::string> Srcs(2 + R.uniformInt(3));
+      for (std::string &N : Srcs)
+        N = Pick();
+      const bool Consume = R.chance(0.5);
+      std::vector<NameId> Ids;
+      std::string Combined;
+      std::vector<float> Concat;
+      for (const std::string &N : Srcs) {
+        Ids.push_back(Db.intern(N));
+        Combined += N;
+        auto It = Ref.find(N);
+        if (It != Ref.end())
+          Concat.insert(Concat.end(), It->second.begin(), It->second.end());
+      }
+      NameId C = Db.serialize(Ids, Consume);
+      ASSERT_EQ(Db.nameOf(C), Combined) << "seed " << Seed;
+      if (Consume)
+        for (const std::string &N : Srcs)
+          if (N != Combined)
+            Ref.erase(N);
+      Ref[Combined] = Concat;
+      if (Combined.size() <= 3 &&
+          std::find(Pool.begin(), Pool.end(), Combined) == Pool.end())
+        Pool.push_back(Combined);
+      break;
+    }
+    case 6: { // au_checkpoint.
+      Region[R.uniformInt(4)] = static_cast<float>(Step);
+      M.checkpoint(Db);
+      RefSnap = Ref;
+      std::copy(Region, Region + 4, RegionSnap);
+      HaveSnap = true;
+      break;
+    }
+    case 7: { // au_restore, sometimes twice in a row.
+      if (!HaveSnap)
+        break;
+      Region[R.uniformInt(4)] = -1.0f;
+      for (int Again = R.chance(0.3) ? 2 : 1; Again; --Again)
+        M.restore(Db);
+      Ref = RefSnap;
+      for (int I = 0; I != 4; ++I)
+        ASSERT_EQ(Region[I], RegionSnap[I]) << "seed " << Seed;
+      break;
+    }
+    case 8: { // A name interned now (after any snapshot) and extracted.
+      std::string N = "n" + std::to_string(Fresh++);
+      Db.append(Db.intern(N), 1.0f + Fresh);
+      Ref[N].push_back(1.0f + Fresh);
+      Pool.push_back(N);
+      break;
+    }
+    }
+    expectStoreMatches(Db, Ref, Seed, Step);
+    if (::testing::Test::HasFatalFailure())
+      return;
+  }
+}
 } // namespace
 
 TEST(DatabaseStoreTest, RandomPrimitiveSequencesMatchReferencePi) {
-  // Seeded random sequences of append/set/reset, serialize (consume on and
-  // off, duplicate sources, a combined name among its own sources via the
-  // empty name, nested serialize of combined names), checkpoint, repeated
-  // restore, and names interned after a snapshot, run through DatabaseStore
-  // + CheckpointManager and through RefPi; every list must agree after
-  // every step. A small POD region rides along in the snapshots.
-  for (uint64_t Seed = 1; Seed <= 12; ++Seed) {
-    Rng R(Seed);
-    DatabaseStore Db;
-    CheckpointManager M;
-    RefPi Ref, RefSnap;
-    float Region[4] = {0, 0, 0, 0};
-    float RegionSnap[4] = {0, 0, 0, 0};
-    M.registerRegion(Region, sizeof(Region));
-    bool HaveSnap = false;
-    int Fresh = 0;
+  for (uint64_t Seed = 1; Seed <= 12 && !HasFatalFailure(); ++Seed)
+    runReferencePiSequence(Seed, /*SharedTable=*/false);
+}
 
-    // Sources and targets are drawn from the names seen so far; combined
-    // names join the pool while short, so later serializes nest them.
-    std::vector<std::string> Pool = {"a", "b", "c", ""};
-    auto Pick = [&]() -> const std::string & {
-      return Pool[R.uniformInt(Pool.size())];
-    };
-    auto RandomList = [&] {
-      std::vector<float> V(R.uniformInt(4));
-      for (float &X : V)
-        X = static_cast<float>(R.uniformInt(-50, 50));
-      return V;
-    };
-
-    for (int Step = 0; Step < 300; ++Step) {
-      switch (R.uniformInt(9)) {
-      case 0:
-      case 1: { // au_extract: append a list (possibly empty) or one value.
-        const std::string &N = Pick();
-        if (R.chance(0.5)) {
-          std::vector<float> V = RandomList();
-          Db.append(Db.intern(N), V.data(), V.size());
-          Ref[N].insert(Ref[N].end(), V.begin(), V.end());
-        } else {
-          float X = static_cast<float>(R.uniformInt(-50, 50));
-          Db.append(Db.intern(N), X);
-          Ref[N].push_back(X);
-        }
-        break;
-      }
-      case 2: { // Model outputs: set replaces the list.
-        const std::string &N = Pick();
-        std::vector<float> V = RandomList();
-        Db.set(Db.intern(N), V.data(), V.size());
-        Ref[N] = V;
-        break;
-      }
-      case 3: { // reset maps the name back to bottom.
-        const std::string &N = Pick();
-        Db.reset(Db.intern(N));
-        Ref.erase(N);
-        break;
-      }
-      case 4:
-      case 5: { // serialize 2-4 sources, duplicates allowed.
-        std::vector<std::string> Srcs(2 + R.uniformInt(3));
-        for (std::string &N : Srcs)
-          N = Pick();
-        const bool Consume = R.chance(0.5);
-        std::vector<NameId> Ids;
-        std::string Combined;
-        std::vector<float> Concat;
-        for (const std::string &N : Srcs) {
-          Ids.push_back(Db.intern(N));
-          Combined += N;
-          auto It = Ref.find(N);
-          if (It != Ref.end())
-            Concat.insert(Concat.end(), It->second.begin(), It->second.end());
-        }
-        NameId C = Db.serialize(Ids, Consume);
-        ASSERT_EQ(Db.nameOf(C), Combined) << "seed " << Seed;
-        if (Consume)
-          for (const std::string &N : Srcs)
-            if (N != Combined)
-              Ref.erase(N);
-        Ref[Combined] = Concat;
-        if (Combined.size() <= 3 &&
-            std::find(Pool.begin(), Pool.end(), Combined) == Pool.end())
-          Pool.push_back(Combined);
-        break;
-      }
-      case 6: { // au_checkpoint.
-        Region[R.uniformInt(4)] = static_cast<float>(Step);
-        M.checkpoint(Db);
-        RefSnap = Ref;
-        std::copy(Region, Region + 4, RegionSnap);
-        HaveSnap = true;
-        break;
-      }
-      case 7: { // au_restore, sometimes twice in a row.
-        if (!HaveSnap)
-          break;
-        Region[R.uniformInt(4)] = -1.0f;
-        for (int Again = R.chance(0.3) ? 2 : 1; Again; --Again)
-          M.restore(Db);
-        Ref = RefSnap;
-        for (int I = 0; I != 4; ++I)
-          ASSERT_EQ(Region[I], RegionSnap[I]) << "seed " << Seed;
-        break;
-      }
-      case 8: { // A name interned now (after any snapshot) and extracted.
-        std::string N = "n" + std::to_string(Fresh++);
-        Db.append(Db.intern(N), 1.0f + Fresh);
-        Ref[N].push_back(1.0f + Fresh);
-        Pool.push_back(N);
-        break;
-      }
-      }
-      expectStoreMatches(Db, Ref, Seed, Step);
-      if (HasFatalFailure())
-        return;
-    }
-  }
+TEST(DatabaseStoreTest, RandomPrimitiveSequencesOnSharedTableMatchReferencePi) {
+  for (uint64_t Seed = 1; Seed <= 12 && !HasFatalFailure(); ++Seed)
+    runReferencePiSequence(Seed, /*SharedTable=*/true);
 }

@@ -1,12 +1,13 @@
 //===- tests/EngineSessionTest.cpp - Engine/Session architecture ---------===//
 //
-// The Engine/Session split of DESIGN.md §10: store-divergence detection,
-// replica/live prediction equivalence, the cross-session inference
+// The Engine/Session split of DESIGN.md §10: the one name table every
+// session's store indexes (also under concurrent interning), replica/live
+// prediction equivalence, the cross-session inference
 // batcher (also with rows wide enough that its gather goes to the pool),
 // the one RL au_NN step shared by a single session and the fleet
 // batcher (and its allocation-free steady state), and a multi-tenant
 // stress test with concurrent TS readers under a live TR trainer. The
-// stress test doubles as a race detector under the TSan CI job.
+// stress tests double as race detectors under the TSan CI job.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,32 +21,44 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
 using namespace au;
 
 //===----------------------------------------------------------------------===//
-// Store divergence (a real error path, not an assert)
+// One name table per engine
 //===----------------------------------------------------------------------===//
 
-TEST(EngineSession, DirectStoreInternThrowsDivergenceError) {
+TEST(EngineSession, DirectStoreInternIsTheEngineIntern) {
   Engine Eng;
   Session S(Eng, Mode::TR);
-  S.intern("a");
-  // Bypassing the session de-synchronizes the store's name table from the
-  // engine's master table: positions no longer line up, so handles would
-  // resolve to the wrong slots. The next intern must detect it — in
-  // release builds too.
-  S.db().intern("rogue");
-  EXPECT_THROW(S.intern("b"), StoreDivergenceError);
+  NameId A = S.intern("a");
+  // The session's store indexes the engine's table, so interning through
+  // db() is the engine's intern, and the session keeps working after it.
+  NameId Rogue = S.db().intern("rogue");
+  EXPECT_EQ(Rogue, Eng.intern("rogue"));
+  NameId B = S.intern("b");
+  EXPECT_EQ(B, Eng.intern("b"));
+  EXPECT_NE(A, Rogue);
+  EXPECT_NE(B, Rogue);
+
+  S.extract(Rogue, 1.0f);
+  S.extract(B, 2.0f);
+  NameId C = S.serialize(std::vector<NameId>{Rogue, B});
+  EXPECT_EQ(C, Eng.intern("rogueb"));
+  EXPECT_EQ(S.db().get(C), (std::vector<float>{1.0f, 2.0f}));
+  EXPECT_FALSE(S.db().contains(Rogue));
+  EXPECT_FALSE(S.db().contains(B));
 }
 
 TEST(EngineSession, SessionsMirrorNamesInternedAnywhere) {
   Engine Eng;
   Session A(Eng, Mode::TR);
   NameId X = A.intern("x");
-  // A session created later starts with the full master table.
+  // A session created later indexes the same table.
   Session B(Eng, Mode::TR);
   EXPECT_EQ(B.intern("x"), X);
   // A name interned through B is visible to A under the same id.
@@ -92,6 +105,35 @@ void probeRow(int K, float *X) {
     X[J] = 0.3f + 0.05f * static_cast<float>(K) + 0.01f * static_cast<float>(J);
 }
 } // namespace
+
+TEST(EngineSession, HandleInternedBySiblingSessionNeedsNoLocalIntern) {
+  Engine Eng;
+  Session A(Eng, Mode::TS); // Opened before any of the names below exist.
+  Session B(Eng, Mode::TR);
+  // B interns the model, its output and the feature, and trains the model.
+  NameId ModelId = trainSmallModel(Eng, B, "M");
+  WriteBackHandle Out{B.intern("out"), OutDim};
+  NameId Lo = B.intern("lo"), Hi = B.intern("hi");
+
+  // A runs extract -> serialize -> au_NN -> write_back on B's handles
+  // without interning any of them itself.
+  float X[FeatDim];
+  probeRow(0, X);
+  A.extract(Lo, FeatDim / 2, X);
+  A.extract(Hi, FeatDim / 2, X + FeatDim / 2);
+  NameId Ext = A.serialize(std::vector<NameId>{Lo, Hi});
+  EXPECT_EQ(B.intern("lohi"), Ext);
+  A.nn(ModelId, Ext, {Out});
+  float Pred[OutDim];
+  A.writeBack(Out.Name, OutDim, Pred);
+
+  std::vector<float> Expected;
+  static_cast<SlModel *>(Eng.getModel(ModelId))
+      ->predictRows(X, /*Rows=*/1, Expected);
+  ASSERT_EQ(Expected.size(), static_cast<size_t>(OutDim));
+  for (int J = 0; J < OutDim; ++J)
+    EXPECT_EQ(Pred[J], Expected[static_cast<size_t>(J)]);
+}
 
 TEST(EngineSession, SharedInferenceMatchesLiveModelBitwise) {
   Engine Eng;
@@ -495,5 +537,65 @@ TEST(EngineSessionStress, ConcurrentReadersUnderLiveTrainer) {
     EXPECT_EQ(St.FloatsExtracted, Reads * FeatDim);
     EXPECT_EQ(St.NumNn, Reads);
     EXPECT_EQ(St.NumWriteBack, Reads);
+  }
+}
+
+TEST(EngineSessionStress, ConcurrentInternAcrossSessions) {
+  // 8 threads, one session each, intern names from one overlapping pool
+  // and serialize overlapping id-vectors, so plain and combined names
+  // intern into the engine's table concurrently. Every thread records the
+  // (name, id) pairs it was handed; afterwards each id must name the same
+  // string everywhere and no two names may share an id.
+  constexpr int NumThreads = 8;
+  constexpr int PoolSize = 24;
+  constexpr int Rounds = 300;
+  Engine Eng;
+  std::vector<std::unique_ptr<Session>> Sessions;
+  for (int T = 0; T < NumThreads; ++T)
+    Sessions.push_back(std::make_unique<Session>(Eng, Mode::TR));
+
+  using Seen = std::vector<std::pair<std::string, NameId>>;
+  std::vector<Seen> SeenBy(NumThreads);
+  std::vector<std::thread> Threads;
+  for (int T = 0; T < NumThreads; ++T) {
+    Threads.emplace_back([&, T] {
+      Session &S = *Sessions[static_cast<size_t>(T)];
+      Seen &Out = SeenBy[static_cast<size_t>(T)];
+      Rng R(static_cast<uint64_t>(T) + 1);
+      for (int I = 0; I < Rounds; ++I) {
+        std::string NA = "n" + std::to_string(R.uniformInt(PoolSize));
+        std::string NB = "n" + std::to_string(R.uniformInt(PoolSize));
+        NameId A = S.intern(NA), B = S.intern(NB);
+        S.extract(A, static_cast<float>(I));
+        S.extract(B, static_cast<float>(T));
+        NameId C = S.serialize(std::vector<NameId>{A, B});
+        // Serialize read both lists before consuming them; A == B reads
+        // the one two-value list twice.
+        ASSERT_EQ(S.db().get(C).size(), A == B ? 4u : 2u);
+        Out.emplace_back(NA, A);
+        Out.emplace_back(NB, B);
+        Out.emplace_back(NA + NB, C);
+      }
+    });
+  }
+  for (auto &Th : Threads)
+    Th.join();
+
+  std::map<std::string, NameId> IdOf;
+  std::map<NameId, std::string> NameOf;
+  for (const Seen &Out : SeenBy)
+    for (const auto &[Name, Id] : Out) {
+      ASSERT_EQ(IdOf.emplace(Name, Id).first->second, Id)
+          << "two ids for '" << Name << "'";
+      ASSERT_EQ(NameOf.emplace(Id, Name).first->second, Name)
+          << "two names share id " << Id;
+    }
+  EXPECT_GT(IdOf.size(), static_cast<size_t>(PoolSize));
+  for (const auto &[Name, Id] : IdOf) {
+    EXPECT_EQ(Eng.nameOf(Id), Name);
+    for (const auto &S : Sessions) {
+      EXPECT_EQ(S->db().nameOf(Id), Name);
+      EXPECT_EQ(S->intern(Name), Id);
+    }
   }
 }
